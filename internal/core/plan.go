@@ -60,13 +60,15 @@ func fnvInt(h uint64, v int) uint64 {
 }
 
 // FingerprintDB computes the database's plan-cache fingerprint in one
-// pass over the data. The statistics digested here are exactly the ones
-// estimate.Catalog gathers (cardinality, per-attribute distinct counts),
-// so two databases with equal fingerprints are indistinguishable to
-// every planning rung from the DP down.
+// pass over the data, counting distinct values on the ID slabs. The
+// statistics digested here are exactly the ones estimate.Catalog
+// gathers (cardinality, per-attribute distinct counts), so two
+// databases with equal fingerprints are indistinguishable to every
+// planning rung from the DP down.
 func FingerprintDB(db *database.Database) Fingerprint {
 	shape := fnvInt(fnvOffset, db.Len())
 	stats := fnvInt(fnvOffset, db.Len())
+	var tally relation.Tally
 	for i := 0; i < db.Len(); i++ {
 		r := db.Relation(i)
 		attrs := r.Schema().Attrs()
@@ -76,11 +78,7 @@ func FingerprintDB(db *database.Database) Fingerprint {
 		}
 		stats = fnvInt(stats, r.Size())
 		for col := range attrs {
-			distinct := make(map[relation.Value]struct{})
-			for _, row := range r.Rows() {
-				distinct[row[col]] = struct{}{}
-			}
-			stats = fnvInt(stats, len(distinct))
+			stats = fnvInt(stats, len(tally.Column(r, col)))
 		}
 	}
 	return Fingerprint{Shape: shape, Stats: stats}

@@ -2,7 +2,6 @@ package database
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -38,6 +37,7 @@ func readCSVIn(dict *relation.Dict, name string, r io.Reader) (rel *relation.Rel
 	defer guard.Protect(&err)
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 0 // all records must match the header's width
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("database: reading CSV header for %s: %w", name, err)
@@ -50,15 +50,22 @@ func readCSVIn(dict *relation.Dict, name string, r io.Reader) (rel *relation.Rel
 		}
 		attrs[i] = relation.Attr(h)
 	}
-	schema := relation.NewSchema(attrs...)
-	if schema.Len() != len(attrs) {
+	ld, ok := relation.NewLoader(dict, name, attrs)
+	if !ok {
 		return nil, fmt.Errorf("database: %s has duplicate attributes", name)
 	}
-	rel = relation.NewIn(dict, name, schema)
+	var (
+		buf  []byte   // the record's fields, copied end to end
+		vals [][]byte // the fields as subslices of buf
+	)
 	for row := 1; ; row++ {
 		record, err := cr.Read()
 		if err == io.EOF {
 			break
+		}
+		if err == nil {
+			buf, vals = fieldBytes(record, buf, vals)
+			err = ld.Add(vals)
 		}
 		if err != nil {
 			// encoding/csv errors carry the file line; prefix the
@@ -66,38 +73,24 @@ func readCSVIn(dict *relation.Dict, name string, r io.Reader) (rel *relation.Rel
 			// loads name exactly what failed.
 			return nil, fmt.Errorf("database: relation %s: CSV row %d: %w", name, row, err)
 		}
-		if err := insertRow(rel, attrs, record); err != nil {
-			return nil, fmt.Errorf("database: relation %s: CSV row %d: %w", name, row, err)
-		}
 	}
-	return rel, nil
+	return ld.Relation(), nil
 }
 
-// insertRow builds and inserts one positional tuple, converting any
-// relation-layer invariant panic into an error so loaders can prefix it
-// with the offending row's position.
-func insertRow(rel *relation.Relation, attrs []relation.Attr, record []string) (err error) {
-	defer unwrapRowPanic(&err)
-	defer guard.Protect(&err)
-	if len(record) != len(attrs) {
-		return fmt.Errorf("has %d values, want %d", len(record), len(attrs))
+// fieldBytes copies a record's fields end to end into buf and returns
+// them as subslices of it, reusing both buffers' storage so a row costs
+// no allocation once they have grown.
+func fieldBytes(record []string, buf []byte, vals [][]byte) ([]byte, [][]byte) {
+	buf, vals = buf[:0], vals[:0]
+	for _, f := range record {
+		buf = append(buf, f...)
 	}
-	t := make(relation.Tuple, len(attrs))
-	for i, v := range record {
-		t[attrs[i]] = relation.Value(v)
+	end := 0
+	for _, f := range record {
+		vals = append(vals, buf[end:end+len(f)])
+		end += len(f)
 	}
-	rel.Insert(t)
-	return nil
-}
-
-// unwrapRowPanic rewrites a recovered relation-layer panic as a plain
-// malformed-row error, dropping the stack (the loaders report position
-// themselves).
-func unwrapRowPanic(errp *error) {
-	var pe *guard.PanicError
-	if errors.As(*errp, &pe) {
-		*errp = fmt.Errorf("malformed row: %v", pe.Value)
-	}
+	return buf, vals
 }
 
 // LoadCSVDir builds a database from every .csv file in dir, in

@@ -95,12 +95,17 @@ func FuzzLoadCSV(f *testing.F) {
 	})
 }
 
-// FuzzLoadJSON drives the JSON database loader into the guarded
-// evaluation stack: any database the decoder accepts must evaluate
-// under a resource guard without panicking — the only permitted
-// failures are typed governance trips. This is the end-to-end check
-// that the parallel prewarmer's worker panic boundary holds for
-// arbitrary loader-accepted inputs.
+// FuzzLoadJSON checks the single-pass JSON loader against the
+// encoding/json decoder it replaced, then drives what it accepts into
+// the guarded evaluation stack. The two decoders must agree on accept
+// versus reject and, for accepted input, on names, schemas, row order
+// and dictionary order; the only disagreement allowed is one of the
+// three new rejections, which newRejection recognizes independently.
+// Any database the decoder accepts must then evaluate under a resource
+// guard without panicking — the only permitted failures are typed
+// governance trips. This is the end-to-end check that the parallel
+// prewarmer's worker panic boundary holds for arbitrary loader-accepted
+// inputs.
 func FuzzLoadJSON(f *testing.F) {
 	seed, err := os.ReadFile("testdata/db.json")
 	if err != nil {
@@ -112,10 +117,21 @@ func FuzzLoadJSON(f *testing.F) {
 		`{"relations": [{"attrs": ["A"], "rows": []}, {"attrs": ["A"], "rows": [["1"]]}]}`,
 		`{"relations": [{"attrs": ["A","B"], "rows": [["1","x"]]}, {"attrs": ["B","C"], "rows": [["x","2"]]}]}`,
 		`not json`,
+		`{"Relations": [{"ROWS": [["x","1"],["y","2"]], "Name": "R", "attrs": ["B","A"], "extra": {"k": [1, -2.5e3, true, null]}}]}`,
+		`{"relations": [{"name": "\u0052", "attrs": ["A"], "rows": [["\ud83d\ude00"], ["\ud800"], ["a\"b"]]}]} `,
+		"{\"relations\": [{\"attrs\": [\"A\u00e9\"], \"rows\": [[\"\xff\"], [\"\xc3\xa9\"], [\"\x7f\"]]}]}",
+		`{"relations": [{"name": null, "attrs": ["A"], "rows": null}]}`,
+		`{"relations": [{"attrs": ["A"], "rows": [["1"]]}], "relations": [{"attrs": ["B"]}]}`,
+		`{"relations": [{"attrs": ["A", null], "rows": [[null, "2"]]}]}`,
+		`{"relations": [{"attrs": ["A"], "rows": [["1"]]}]} ]]] garbage`,
+		`{"relations": [{"attrs": ["A"], "x": ` + strings.Repeat("[", 100000) + `}]}`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkAgainstReference(data); err != nil {
+			t.Fatal(err)
+		}
 		db, err := DecodeJSON(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -93,3 +93,78 @@ func TestDecodeJSONErrorsCarryPosition(t *testing.T) {
 		t.Errorf("anonymous relation error %v missing positional name", err)
 	}
 }
+
+// TestDecodeJSONNewRejections pins the three inputs the encoding/json
+// decoder accepted and the single-pass decoder rejects: bytes after the
+// database, a repeated key (encoding/json merged the two values), and a
+// null inside "attrs" or a row (encoding/json read it as "").
+func TestDecodeJSONNewRejections(t *testing.T) {
+	const rel = `{"name": "R", "attrs": ["X", "Y"], "rows": [["1", "2"]]}`
+	cases := []struct {
+		name, src string
+		want      []string // substrings of the error
+	}{
+		{"trailing brackets", `{"relations": [` + rel + `]} ]]] garbage`, []string{"after top-level value"}},
+		{"trailing brace", `{"relations": [` + rel + `]} }`, []string{"after top-level value"}},
+		{"trailing value", `{"relations": [` + rel + `]} {}`, []string{"after top-level value"}},
+		{"repeated relations", `{"relations": [` + rel + `], "relations": [{"attrs": ["X", "Z"]}]}`,
+			[]string{"repeated key"}},
+		{"repeated rows", `{"relations": [{"attrs": ["X"], "rows": [["1"]], "rows": [["2"]]}]}`,
+			[]string{"repeated key"}},
+		{"repeated name", `{"relations": [{"name": "R", "name": "S", "attrs": ["X"]}]}`, []string{"repeated key"}},
+		{"repeated key differing in case", `{"relations": [{"attrs": ["X"], "Attrs": ["Y"]}]}`,
+			[]string{"repeated key"}},
+		{"null row value", `{"relations": [{"name": "R", "attrs": ["X", "Y"], "rows": [["1", "2"], [null, "2"], ["", "2"]]}]}`,
+			[]string{"relation R", "row 2", "null"}},
+		{"null attribute", `{"relations": [{"name": "R", "attrs": ["X", null], "rows": []}]}`,
+			[]string{"relation R", "attrs", "null"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := DecodeJSON(strings.NewReader(c.src))
+			if err == nil {
+				t.Fatalf("DecodeJSON(%s) accepted", c.src)
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("error %q missing %q", err, w)
+				}
+			}
+		})
+	}
+}
+
+// TestDecodeJSONMatchesEncodingJSON pins inputs where the single-pass
+// decoder must build exactly what the encoding/json decoder built: keys
+// in any order or case, unknown keys, nulls meaning absent fields, and
+// strings that take encoding/json's own decoding.
+func TestDecodeJSONMatchesEncodingJSON(t *testing.T) {
+	for _, src := range []string{
+		`{"relations": [{"rows": [["x", "1"], ["y", "2"], ["x", "1"]], "attrs": ["B", "A"], "name": "R"}]}`,
+		`{"RELATIONS": [{"Name": "R", "ATTRS": ["A"], "Rows": [["1"]]}]}`,
+		`{"note": {"deep": [[{}], 1.5e-3, false, null, "s"]}, "relations": [{"attrs": ["A"], "why": [], "rows": [["1"]]}]}`,
+		`{"relations": [{"name": null, "attrs": ["A"], "rows": null}, {"attrs": ["B"]}]}`,
+		`{"relations": [{"name": "é", "attrs": ["A\u0000"], "rows": [["😀"], ["\ud800"], ["\/\b\f\n\r\t\""]]}]}`,
+		"{\"relations\": [{\"attrs\": [\"A\"], \"rows\": [[\"\xff\xfe\"], [\"caf\xc3\xa9\"]]}]}\n\t ",
+		`{"relations": [{"attrs": ["B", "A"], "rows": [["b1", "a1"]]}, {"attrs": ["C", "A"], "rows": [["c1", "a1"], ["c2", "b1"]]}]}`,
+	} {
+		if _, err := DecodeJSON(strings.NewReader(src)); err != nil {
+			t.Errorf("DecodeJSON(%s): %v", src, err)
+			continue
+		}
+		if err := checkAgainstReference([]byte(src)); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
+}
+
+// TestDecodeJSONDeepNesting feeds an unknown key 100 000 open brackets
+// deep: the decoder must report encoding/json's depth limit, not
+// overflow the stack.
+func TestDecodeJSONDeepNesting(t *testing.T) {
+	src := `{"relations": [{"attrs": ["A"], "x": ` + strings.Repeat("[", 100000) + `}]}`
+	_, err := DecodeJSON(strings.NewReader(src))
+	if err == nil || !strings.Contains(err.Error(), "exceeded max depth") {
+		t.Fatalf("deep nesting: got %v, want the max-depth error", err)
+	}
+}

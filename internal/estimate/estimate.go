@@ -78,14 +78,15 @@ func NewCatalog(db *database.Database) *Catalog {
 	for pos, a := range c.attrs {
 		c.index[a] = pos
 	}
+	var tally relation.Tally
 	for i := 0; i < db.Len(); i++ {
 		r := db.Relation(i)
 		c.card[i] = float64(r.Size())
 		c.distinct[i] = make([]float64, len(c.attrs))
-		for _, a := range r.Schema().Attrs() { // Attrs() is sorted, so positions ascend
+		for col, a := range r.Schema().Attrs() { // Attrs() is sorted, so positions ascend
 			pos := c.index[a]
 			c.relAttrs[i] = append(c.relAttrs[i], pos)
-			c.distinct[i][pos] = float64(relation.Project(r, relation.NewSchema(a)).Size())
+			c.distinct[i][pos] = float64(len(tally.Column(r, col)))
 		}
 	}
 	c.counts = make([]int, len(c.attrs))

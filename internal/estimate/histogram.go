@@ -45,23 +45,15 @@ func NewHistogramCatalog(db *database.Database) *HistogramCatalog {
 		Catalog: NewCatalog(db),
 		freq:    make([][][]valCount, db.Len()),
 	}
+	var tally relation.Tally
 	for i := 0; i < db.Len(); i++ {
 		r := db.Relation(i)
-		attrs := r.Schema().Attrs()
-		counts := make([]map[relation.Value]float64, len(attrs))
-		for j := range counts {
-			counts[j] = make(map[relation.Value]float64)
-		}
-		for _, row := range r.Rows() {
-			for j := range attrs {
-				counts[j][row[j]]++
-			}
-		}
 		h.freq[i] = make([][]valCount, len(h.attrs))
-		for j, a := range attrs {
-			buckets := make([]valCount, 0, len(counts[j]))
-			for v, c := range counts[j] {
-				buckets = append(buckets, valCount{v: v, c: c})
+		for col, a := range r.Schema().Attrs() {
+			counts := tally.Column(r, col)
+			buckets := make([]valCount, len(counts))
+			for k, e := range counts {
+				buckets[k] = valCount{v: r.Dict().Value(e.ID), c: float64(e.Count)}
 			}
 			sort.Slice(buckets, func(x, y int) bool { return buckets[x].v < buckets[y].v })
 			h.freq[i][h.index[a]] = buckets

@@ -72,3 +72,29 @@ func TestSemijoinAllocBudget(t *testing.T) {
 		t.Fatalf("Semijoin allocates %.0f allocs/op, budget %d", allocs, budget)
 	}
 }
+
+func TestLoaderDictionaryHitAllocBudget(t *testing.T) {
+	ld, ok := NewLoader(NewDict(), "R", []Attr{"B", "A"})
+	if !ok {
+		t.Fatal("NewLoader rejected distinct attributes")
+	}
+	rows := make([][][]byte, 200)
+	for i := range rows {
+		rows[i] = [][]byte{[]byte(fmt.Sprintf("w%d", i)), []byte(fmt.Sprintf("v%d", i%7))}
+		if err := ld.Add(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every value is in the dictionary and every row in the relation:
+	// Add costs map probes and an index lookup, no heap allocation.
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, row := range rows {
+			if err := ld.Add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Loader.Add on dictionary hits allocates %.2f allocs per batch, want 0", allocs)
+	}
+}

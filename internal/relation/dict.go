@@ -52,13 +52,35 @@ func (d *Dict) ID(v Value) uint32 {
 	if id, ok := d.ids[v]; ok {
 		return id
 	}
+	return d.add(v)
+}
+
+// add issues the next ID to v, which must not be interned yet. The
+// caller holds the write lock.
+func (d *Dict) add(v Value) uint32 {
 	if uint64(len(d.vals)) == 1<<32 {
 		panic("relation: dictionary overflow: 2^32 distinct values interned")
 	}
-	id = uint32(len(d.vals))
+	id := uint32(len(d.vals))
 	d.vals = append(d.vals, v)
 	d.ids[v] = id
 	return id
+}
+
+// internBytes interns vals[order[0]], vals[order[1]], … in that order
+// under one lock, writing the IDs to ids. A value interned before costs
+// one map probe and no allocation; a new one is copied into a fresh
+// Value, so the caller may reuse the bytes.
+func (d *Dict) internBytes(vals [][]byte, order []int, ids []uint32) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, p := range order {
+		id, ok := d.ids[Value(vals[p])]
+		if !ok {
+			id = d.add(Value(vals[p]))
+		}
+		ids[i] = id
+	}
 }
 
 // Lookup reports v's ID without interning it. The second result is

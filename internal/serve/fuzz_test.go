@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -11,7 +12,10 @@ import (
 // decoder — the untrusted-input surface of POST /v1/analyze and
 // /v1/query. Invariant: DecodeRequest either errors or returns a
 // well-formed (request, database) pair, never panics, and decoding the
-// same bytes twice is deterministic. Seeds live in
+// same bytes twice is deterministic. It also agrees with the
+// encoding/json envelope decoder it replaced on accept versus reject and
+// on everything decoded, except for the new envelope rejections
+// newEnvelopeRejection recognizes. Seeds live in
 // testdata/fuzz/FuzzServeRequest and run in ordinary go test; use
 // `go test -fuzz=FuzzServeRequest ./internal/serve` for exploration.
 func FuzzServeRequest(f *testing.F) {
@@ -30,10 +34,21 @@ func FuzzServeRequest(f *testing.F) {
 		`{"unknown":1,"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}}`,
 		`{"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}} trailing`,
 		`{"tenant":3,"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}}`,
+		`{"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}}]`,
+		`{"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}} }`,
+		`{"tenant":"free","Tenant":"premium","database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]}}`,
+		`{"PLANMODE":"estimate","Database":{"relations":[{"attrs":["A"],"rows":[["1"]]}]},"execute":null,"tenant":null}`,
+		`{"database":{"relations":[{"attrs":["A"],"rows":[["1"]]}],"x":` + strings.Repeat("[", 100000) + `}}`,
+		`{"x":` + strings.Repeat("[", 100000) + `}`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) <= MaxRequestBytes {
+			if err := checkRequestAgainstReference(data); err != nil {
+				t.Fatal(err)
+			}
+		}
 		req, db, err := DecodeRequest(bytes.NewReader(data))
 		if err != nil {
 			if req2, db2, err2 := DecodeRequest(bytes.NewReader(data)); err2 == nil {

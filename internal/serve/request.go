@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"multijoin/internal/database"
 	"multijoin/internal/exitcode"
 	"multijoin/internal/guard"
+	"multijoin/internal/jsonlex"
 )
 
 // The wire format. Requests and responses are plain JSON; the decoder
@@ -16,6 +16,13 @@ import (
 // the service's untrusted-input surface — FuzzServeRequest fuzzes
 // exactly DecodeRequest, and the contract it checks is "error or valid
 // request, never a panic, never an unbounded allocation".
+//
+// The envelope's keys match case-insensitively, as encoding/json
+// matches struct fields, and may come in any order. A null for tenant,
+// planMode, execute or noCache means the field is absent. A repeated
+// key, an unknown key and anything but whitespace after the envelope
+// are malformed input; the embedded database follows the interchange
+// format's own rules (database/json.go).
 
 // MaxRequestBytes bounds a request body. Databases past this limit
 // belong in a file workload, not a service call.
@@ -26,7 +33,8 @@ type Request struct {
 	// Tenant selects the tenant class; empty means "standard".
 	Tenant string `json:"tenant,omitempty"`
 	// Database is the database in the interchange format
-	// ({"relations":[{"name","attrs","rows"}]}).
+	// ({"relations":[{"name","attrs","rows"}]}). DecodeRequest sets it
+	// to the value's bytes within the request body, not a copy.
 	Database json.RawMessage `json:"database"`
 	// Execute asks /v1/query to also materialize the chosen plan's
 	// joins (charging the tenant's tuple budget) and report the final
@@ -62,33 +70,60 @@ func DecodeRequest(r io.Reader) (*Request, *database.Database, error) {
 	return req, db, nil
 }
 
+// requestFields lists Request's JSON keys, in the order decodeRequestBytes
+// switches on them.
+var requestFields = []string{"tenant", "database", "execute", "noCache", "planMode"}
+
 // decodeRequestBytes is the fuzzed core: bytes in, request+database or
-// error out.
+// error out. One pass over the body reads the envelope and, through
+// database.ReadJSON, the database inside it; Request.Database is the
+// database value's subslice of body.
 func decodeRequestBytes(body []byte) (req *Request, db *database.Database, err error) {
 	defer guard.Protect(&err)
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
+	l := jsonlex.New(body)
 	req = &Request{}
-	if err := dec.Decode(req); err != nil {
+	err = l.Object(requestFields, func(field int, key []byte) error {
+		var err error
+		switch field {
+		case 0:
+			req.Tenant, err = optString(l)
+		case 1:
+			start := l.Start()
+			db, err = database.ReadJSON(l)
+			req.Database = body[start:l.Pos()]
+		case 2:
+			req.Execute, err = l.Bool()
+		case 3:
+			req.NoCache, err = l.Bool()
+		case 4:
+			req.PlanMode, err = optString(l)
+		default:
+			err = fmt.Errorf("unknown field %q", key)
+		}
+		return err
+	})
+	if err == nil {
+		err = l.End()
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("serve: decoding request: %w", err)
 	}
-	if dec.More() {
-		return nil, nil, fmt.Errorf("serve: trailing data after request object")
-	}
-	if len(req.Database) == 0 {
+	if db == nil {
 		return nil, nil, fmt.Errorf("serve: request has no database")
 	}
 	if _, err := ParsePlanMode(req.PlanMode); err != nil {
 		return nil, nil, err
 	}
-	db, err = database.DecodeJSON(bytes.NewReader(req.Database))
-	if err != nil {
-		return nil, nil, err
-	}
-	if db.Len() == 0 {
-		return nil, nil, fmt.Errorf("serve: database has no relations")
-	}
 	return req, db, nil
+}
+
+// optString reads a string field; null reads as "", an absent field.
+func optString(l *jsonlex.Lexer) (string, error) {
+	if l.Null() {
+		return "", nil
+	}
+	s, err := l.String()
+	return string(s), err
 }
 
 // TripInfo reports one rung the ladder fell past on the way to the

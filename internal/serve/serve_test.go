@@ -151,6 +151,13 @@ func TestBadRequests(t *testing.T) {
 		"unknown tenant": {http.MethodPost, "/v1/analyze", `{"tenant":"vip","database":{"relations":[{"name":"R","attrs":["A"],"rows":[]}]}}`, http.StatusBadRequest},
 		"trailing data":  {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A"],"rows":[]}]}} extra`, http.StatusBadRequest},
 		"malformed rows": {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A"],"rows":[["a","b"]]}]}}`, http.StatusBadRequest},
+		// Accepted by the encoding/json envelope decoder: its trailing-data
+		// check stopped at ']' and '}', and it merged repeated keys.
+		"trailing bracket": {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A"],"rows":[]}]}}]`, http.StatusBadRequest},
+		"trailing brace":   {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A"],"rows":[]}]}} }`, http.StatusBadRequest},
+		"repeated key":     {http.MethodPost, "/v1/query", `{"tenant":"free","tenant":"premium","database":{"relations":[{"name":"R","attrs":["A"],"rows":[]}]}}`, http.StatusBadRequest},
+		"repeated db key":  {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A","B"],"rows":[["1","2"]]}],"relations":[{"attrs":["A","C"]}]}}`, http.StatusBadRequest},
+		"null row value":   {http.MethodPost, "/v1/query", `{"database":{"relations":[{"name":"R","attrs":["A","B"],"rows":[[null,"2"],["","2"]]}]}}`, http.StatusBadRequest},
 	} {
 		res, err := doer.Do(context.Background(), tc.method, tc.path, []byte(tc.body))
 		if err != nil {
