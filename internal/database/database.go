@@ -103,16 +103,15 @@ func (d *Database) Validate() error {
 	if len(d.rels) == 0 {
 		return fmt.Errorf("database: empty database scheme")
 	}
-	seen := map[string]int{}
 	for i, r := range d.rels {
 		if r.Schema().Empty() {
 			return fmt.Errorf("database: relation %d (%s) has an empty scheme", i, r.Name())
 		}
-		key := r.Schema().Key()
-		if j, dup := seen[key]; dup {
-			return fmt.Errorf("database: relations %d and %d share scheme %s", j, i, r.Schema())
+		for j, q := range d.rels[:i] {
+			if q.Schema().Equal(r.Schema()) {
+				return fmt.Errorf("database: relations %d and %d share scheme %s", j, i, r.Schema())
+			}
 		}
-		seen[key] = i
 	}
 	return nil
 }

@@ -1,8 +1,12 @@
 package database
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
+	"multijoin/internal/guard"
 	"multijoin/internal/hypergraph"
 	"multijoin/internal/relation"
 )
@@ -109,6 +113,125 @@ func TestEvaluatorMemoizes(t *testing.T) {
 	}
 	if e.MemoLen() != before {
 		t.Fatal("second Eval should not add memo entries")
+	}
+}
+
+// TestCartesianProductSizedWithoutTuples bounds the memory of sizing a
+// Cartesian product: the product of two unlinked 2000-row relations has
+// 4M rows, and its size is their sizes multiplied.
+func TestCartesianProductSizedWithoutTuples(t *testing.T) {
+	db := New(bigRel("R", "AB", 2000, 2000), bigRel("S", "CD", 2000, 2000))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := NewEvaluator(db).Size(db.All())
+	runtime.ReadMemStats(&after)
+	if n != 2000*2000 {
+		t.Fatalf("τ(R×S) = %d, want %d", n, 2000*2000)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("sizing R×S allocated %d bytes, want under 64 KiB", got)
+	}
+}
+
+// rowsRel returns a relation over the one-letter attributes of schema
+// with the given number of rows; cell(i, a) is row i's value of a.
+func rowsRel(name, schema string, rows int, cell func(i int, a relation.Attr) string) *relation.Relation {
+	r := relation.New(name, relation.SchemaFromString(schema))
+	for i := 0; i < rows; i++ {
+		var row []relation.Value
+		for _, a := range r.Schema().Attrs() {
+			row = append(row, relation.Value(cell(i, a)))
+		}
+		r.InsertRow(row)
+	}
+	return r
+}
+
+// TestKnownEmptySetsJoinNothing sizes databases whose R_D is empty
+// because of an empty relation or an empty join. A set that holds an
+// empty relation, or whose rest S∖{min S} is empty, is recorded empty
+// without a join; building the nonempty parts instead, as helper
+// builds, would make 10^4 to 10^6 tuples. The ledger is the reference's
+// either way.
+func TestKnownEmptySetsJoinNothing(t *testing.T) {
+	// fill gives attribute a the value consts[a] when set, else the row
+	// number.
+	fill := func(consts map[relation.Attr]string) func(int, relation.Attr) string {
+		return func(j int, a relation.Attr) string {
+			if v, ok := consts[a]; ok {
+				return v
+			}
+			return fmt.Sprint(j)
+		}
+	}
+	distinct := func(prefix string) func(int, relation.Attr) string {
+		return func(j int, a relation.Attr) string { return fmt.Sprintf("%s%s%d", prefix, a, j) }
+	}
+	// R0, R1, R2 over {A, B, C, Y} meet in Y = "0": every pair joins to
+	// 10^4 rows, all three to 10^6.
+	y0 := fill(map[relation.Attr]string{"Y": "0"})
+	spokes := []*relation.Relation{rowsRel("R0", "AY", 100, y0), rowsRel("R1", "BY", 100, y0), rowsRel("R2", "CY", 100, y0)}
+	pq := fill(map[relation.Attr]string{"P": "p", "Q": "q"})
+	cases := []struct {
+		name    string
+		rels    []*relation.Relation
+		helpers int // uncharged entries sizing D may leave
+	}{
+		// An empty R3(Z) linked to nothing.
+		{"empty relation", append(spokes[:3:3], relation.New("R3", relation.SchemaFromString("Z"))), 0},
+		// R3(E, W) ⋈ R4(V, W) is empty: they share no W value.
+		{"empty join", append(spokes[:3:3], rowsRel("R3", "EW", 100, distinct("x")), rowsRel("R4", "VW", 100, distinct("y"))), 0},
+		// D is connected through R0(O, P, Q), but D∖{R0} falls apart
+		// into the empty R1 ⋈ R2 and R3; sizing it helper-builds R1 ⋈ R2.
+		// Joining D from a connected part would go through R0 ⋈ R1 ⋈ R3,
+		// 10^6 rows.
+		{"empty rest of a connected set", []*relation.Relation{
+			rowsRel("R0", "OPQ", 100, pq), rowsRel("R1", "PW", 100, pq),
+			rowsRel("R2", "VW", 100, distinct("y")), rowsRel("R3", "QU", 100, pq),
+		}, 1},
+		// D holds the empty R0(P, Q); D∖{R0} is nonempty but falls apart
+		// into R1 ⋈ R2 ⋈ R4 (one row, built via R2 ⋈ R4) and R3. Joining
+		// D from a connected part would go through R1 ⋈ R4, 10^4 rows.
+		{"empty relation of a connected set", []*relation.Relation{
+			relation.New("R0", relation.SchemaFromString("PQ")),
+			rowsRel("R1", "APWY", 100, fill(map[relation.Attr]string{"P": "p", "Y": "0"})),
+			relation.FromStrings("R2", "VW", "0 0"),
+			relation.FromStrings("R3", "CQ", "c q"),
+			rowsRel("R4", "DVY", 100, y0),
+		}, 2},
+	}
+	for _, c := range cases {
+		db := New(c.rels...)
+		lim := guard.Limits{MaxTuples: 20_000}
+		g, ref := guard.New(context.Background(), lim), guard.New(context.Background(), lim)
+		ev := NewEvaluator(db).WithGuard(g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := ev.Size(db.All())
+		runtime.ReadMemStats(&after)
+		if n != 0 {
+			t.Fatalf("%s: τ(R_D) = %d, want 0", c.name, n)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<10 {
+			t.Errorf("%s: sizing D allocated %d bytes, want under 32 KiB", c.name, got)
+		}
+		helpers := 0
+		ev.memoRange(func(s hypergraph.Set, en memoEntry) bool {
+			if !en.charged {
+				helpers++
+			}
+			return true
+		})
+		if helpers != c.helpers {
+			t.Errorf("%s: %d helper builds, want %d", c.name, helpers, c.helpers)
+		}
+		NewReferenceEvaluator(db).WithGuard(ref).Size(db.All())
+		if got, want := g.Snapshot(), ref.Snapshot(); got.Tuples != want.Tuples || got.States != want.States {
+			t.Errorf("%s: ledger %+v, reference %+v", c.name, got, want)
+		}
+		if !ev.Result().Equal(NewReferenceEvaluator(db).Result()) {
+			t.Errorf("%s: R_D differs from the reference", c.name)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package database
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 
 	"multijoin/internal/guard"
@@ -9,33 +11,59 @@ import (
 	"multijoin/internal/relation"
 )
 
-// Evaluator materializes R_D′ = ⋈_{R ∈ D′} R for subsets D′ of a
-// database's scheme, memoizing results. Because the natural join is
-// commutative and associative, R_D′ is well defined independently of
-// order (§2), so one materialization per subset serves every strategy,
-// condition check, and dynamic-programming state that mentions it.
+// Evaluator sizes and materializes R_S = ⋈_{R ∈ S} R for subsets S of a
+// database's scheme, memoizing one entry per subset. Because the natural
+// join is commutative and associative, R_S is well defined independently
+// of order (§2), so one entry serves every strategy, condition check and
+// dynamic-programming state that mentions S.
 //
-// Evaluation of a subset splits off its last relation and joins it onto
-// the memoized result for the rest, so computing all 2^n subsets costs
-// 2^n joins in total.
+// An entry holds τ(R_S), plus R_S itself when S is connected. A
+// connected S is built by one join: it splits off the lowest-indexed
+// relation whose removal leaves the rest connected and joins it onto the
+// rest's memoized relation, so every join the evaluator runs is a
+// genuine one. A disconnected S is never joined to learn its size: as in
+// the paper's C1, τ(R_E ⋈ R_E2) = τ(R_E)·τ(R_E2) for unlinked E and E2,
+// so τ(R_S) is the product of its components' sizes, stopping at the
+// first empty factor. Its tuples, a Cartesian product, are built only
+// when Eval or Result asks for them. An S known to be empty — one that
+// holds an empty relation, or whose rest S∖{min S} has been found empty
+// — is recorded without any join.
+//
+// The ledger is independent of which joins ran. S's suffix chain is S,
+// then S less its lowest-indexed relation, and so on down to one
+// relation. A request (Eval or Size) for S that misses charges every
+// not-yet-charged set on the chain, smallest first: each set of two or
+// more relations costs its size in tuples, one state and one step. A hit
+// charges nothing. A connected relation built only to size a
+// disconnected set (a helper build) is memoized uncharged, and is
+// charged when some request's suffix chain reaches it. So budgets, trip
+// points and the eval.* counters are those of an evaluator that
+// materializes every requested subset by splitting off its lowest
+// relation, Cartesian products included.
+//
+// Sizes are bounded by MaxSize: a product past it aborts the request
+// with a *SizeError before it is charged.
 //
 // An Evaluator is safe for concurrent use. The memo is striped across
 // memoShardCount RWMutex-guarded shards keyed on a hash of the subset
-// bitmask, so readers of distinct subsets rarely contend, and each
-// shard carries a per-subset in-flight latch: when two goroutines miss
-// on the same subset simultaneously, one computes the join while the
-// others block on the latch and then read the memoized result, so every
-// subset is materialized (and charged) exactly once however many
-// searchers race on it. The parallel subspace DPs of core.Analyze* and
-// the parallel prewarmer both lean on this.
+// bitmask, and each shard carries per-subset in-flight latches: the
+// goroutine that builds or charges a subset's entry holds the subset's
+// latch, and others needing that entry wait on the latch and then read
+// the memo, so each subset is built and charged at most once however
+// many searchers race on it. A latch holder only ever waits on strict
+// subsets of the set it holds, so the waits cannot form a cycle. The
+// parallel subspace DPs of core.Analyze* and the parallel prewarmer lean
+// on this.
 //
 // An Evaluator may carry a guard.Guard (WithGuard), in which case every
-// materialization charges the guard's tuple/state/step budgets and every
-// evaluation — memo hit or not — polls its context. A tripped guard
-// unwinds via guard.Abort; the public entry points of the optimizer,
-// core and cli packages trap the abort and surface it as a typed error.
+// charge counts against the guard's tuple/state/step budgets, every
+// request, memo hit or not, polls its context, and so does every helper
+// build. A tripped guard unwinds via guard.Abort; the public entry points
+// of the optimizer, core and cli packages trap the abort and surface it
+// as a typed error.
 type Evaluator struct {
 	db     *Database
+	empty  hypergraph.Set // the relations with no tuples
 	shards [memoShardCount]memoShard
 	guard  *guard.Guard
 	rec    *obs.Recorder
@@ -53,18 +81,59 @@ type Evaluator struct {
 	gIntern        *obs.Gauge
 }
 
+// MaxSize is the largest τ(R_S) the evaluator reports, 2^53. Sizes of
+// Cartesian products are multiplied, not built, so they can outgrow
+// anything a join could materialize; capping them at 2^53 keeps every
+// size exact in the optimizers' float64 costs and keeps a single charge
+// from wrapping the int64 tuple ledger, so a tuple budget still trips.
+const MaxSize = 1 << 53
+
+// SizeError reports a subset whose τ(R_S) exceeds MaxSize. Such a set
+// could never be materialized, so the error matches
+// guard.ErrBudgetExceeded, and callers degrade as on a budget trip.
+type SizeError struct {
+	Set   hypergraph.Set
+	Phase string
+}
+
+// Error names the subset and, when the evaluator is governed, the phase.
+func (e *SizeError) Error() string {
+	msg := fmt.Sprintf("database: τ(R_S) for S = %v exceeds 2^53", e.Set)
+	if e.Phase != "" {
+		msg += fmt.Sprintf(" in phase %q", e.Phase)
+	}
+	return msg
+}
+
+// Is matches SizeErrors against the guard.ErrBudgetExceeded sentinel.
+func (e *SizeError) Is(target error) bool { return target == guard.ErrBudgetExceeded }
+
 // memoShardCount is the number of memo stripes. A power of two well
 // above typical core counts keeps both lock contention and the latch
 // maps' per-shard footprint small.
 const memoShardCount = 64
 
-// memoShard is one stripe of the evaluator's memo: the materialized
+// memoShard is one stripe of the evaluator's memo: the entries of the
 // subsets hashing to this stripe plus the in-flight latches for subsets
-// currently being computed.
+// whose entries are being produced.
 type memoShard struct {
 	mu       sync.RWMutex
-	rels     map[hypergraph.Set]*relation.Relation
+	entries  map[hypergraph.Set]memoEntry
 	inflight map[hypergraph.Set]chan struct{}
+}
+
+// memoEntry is what the evaluator knows about one subset S. A missing
+// entry reads as the zero value, which is not built.
+type memoEntry struct {
+	// rel is R_S: set whenever S is connected, and for a disconnected S
+	// once Eval has built its product.
+	rel  *relation.Relation
+	size int
+	// built reports that size (and rel, for a connected S) is known.
+	built bool
+	// charged reports that a request has charged S to the ledger; a
+	// built entry that is not charged is a helper build.
+	charged bool
 }
 
 // shard returns the stripe responsible for subset s. The bitmask is
@@ -78,8 +147,13 @@ func (e *Evaluator) shard(s hypergraph.Set) *memoShard {
 // NewEvaluator creates an evaluator for the database.
 func NewEvaluator(db *Database) *Evaluator {
 	e := &Evaluator{db: db}
+	for i, r := range db.Relations() {
+		if r.Empty() {
+			e.empty = e.empty.Add(i)
+		}
+	}
 	for i := range e.shards {
-		e.shards[i].rels = make(map[hypergraph.Set]*relation.Relation)
+		e.shards[i].entries = make(map[hypergraph.Set]memoEntry)
 		e.shards[i].inflight = make(map[hypergraph.Set]chan struct{})
 	}
 	return e
@@ -96,20 +170,20 @@ func (e *Evaluator) WithGuard(g *guard.Guard) *Evaluator {
 func (e *Evaluator) Guard() *guard.Guard { return e.guard }
 
 // WithRecorder attaches an observability recorder and returns the
-// evaluator. Every materialization then counts into `eval.tuples` (the
-// running τ ledger), `eval.states` and `eval.steps` — the same
-// quantities, charged at the same points, as guard.Guard's budgets, so
-// the metrics reconcile exactly with guard.Snapshot() — and memo
-// traffic counts into `eval.memo.hits`/`eval.memo.misses`, with
-// `eval.inflight.waits` counting the evaluations that blocked on
-// another goroutine's in-flight computation of the same subset instead
-// of duplicating it. The dictionary-encoded kernel reports through two
-// further handles:
-// `join.partitions` accumulates the hash-partition count of every join
-// that took the parallel path (sequential joins contribute 0, so the
-// counter divided by the fixed partition count is the number of
-// parallel joins), and
-// the `eval.intern.values` gauge tracks how many distinct values the
+// evaluator. Every charge then counts into `eval.tuples` (the running τ
+// ledger), `eval.states` and `eval.steps` — the same quantities, charged
+// at the same points, as guard.Guard's budgets, so the metrics reconcile
+// exactly with guard.Snapshot() — and requests count into
+// `eval.memo.hits`/`eval.memo.misses`, with `eval.inflight.waits`
+// counting the times a goroutine blocked on another's in-flight work on
+// the same subset instead of duplicating it. The dictionary-encoded
+// kernel reports through two further handles:
+// `join.partitions` accumulates, as each set is charged, the
+// hash-partition count of the join that built it when that join took
+// the parallel path (sequential joins, sized-only Cartesian products and
+// sets recorded empty without a join contribute 0, so the counter
+// divided by the fixed partition count is the number of parallel joins),
+// and the `eval.intern.values` gauge tracks how many distinct values the
 // result dictionary holds. A nil recorder detaches instrumentation.
 func (e *Evaluator) WithRecorder(rec *obs.Recorder) *Evaluator {
 	e.rec = rec
@@ -132,125 +206,275 @@ func (e *Evaluator) Recorder() *obs.Recorder { return e.rec }
 // Database returns the underlying database.
 func (e *Evaluator) Database() *Database { return e.db }
 
-// Eval returns R_D′ for the subset s. It panics on the empty set, for
-// which R_D′ is undefined in the model.
+// Eval returns R_S for the subset s. It panics on the empty set, for
+// which R_S is undefined in the model. The charge is the same as
+// Size's. A disconnected s's Cartesian product is built from its
+// components' relations on the first Eval that asks for it and kept in
+// s's entry; racing first Evals may each build it, and all return the
+// one kept first.
 //
-// Concurrent calls on the same subset compute the join once: the first
-// caller to miss installs an in-flight latch and materializes, later
-// callers block on the latch and then take the memo hit. If the
-// computing goroutine aborts (guard trip) after memoizing, waiters
-// still get the result free of charge — exactly what a sequential
-// re-Eval after a trip would see.
+// Concurrent calls on the same subset produce its entry once: the first
+// caller to miss installs an in-flight latch and does the work, later
+// callers block on the latch and then take the memo hit. If the working
+// goroutine aborts (guard trip) after memoizing, waiters still get the
+// result free of charge — exactly what a sequential re-Eval after a trip
+// would see.
 func (e *Evaluator) Eval(s hypergraph.Set) *relation.Relation {
+	en := e.request(s)
+	if en.rel != nil {
+		return en.rel
+	}
+	var r *relation.Relation
+	if en.size == 0 {
+		r = e.emptyRel(s)
+	} else {
+		// Sizing s built every component, none of them empty.
+		for _, c := range e.db.Graph().Components(s) {
+			if cr := e.built(c).rel; r == nil {
+				r = cr
+			} else {
+				r = relation.Join(r, cr)
+			}
+		}
+	}
+	return e.shard(s).keep(s, r)
+}
+
+// Size returns τ(R_S) for the subset s: the number of tuples in the join
+// of the selected states. It aborts with a *SizeError when that exceeds
+// MaxSize.
+func (e *Evaluator) Size(s hypergraph.Set) int { return e.request(s).size }
+
+// request returns s's entry, charged. A miss first requests s∖{min s},
+// which resolves the rest of the suffix chain smallest first, then
+// builds s unless a helper build already did, and charges it.
+func (e *Evaluator) request(s hypergraph.Set) memoEntry {
 	if s.Empty() {
 		panic("database: Eval of empty subset")
 	}
+	if e.guard != nil {
+		// Cheap cancellation poll: memo hits dominate the enumeration
+		// and DP hot loops, and this is what keeps them interruptible.
+		guard.Must(e.guard.Tick())
+	}
 	sh := e.shard(s)
-	for {
-		if e.guard != nil {
-			// Cheap cancellation poll: memo hits dominate the enumeration
-			// and DP hot loops, and this is what keeps them interruptible.
-			guard.Must(e.guard.Tick())
+	en, latch := e.acquire(sh, s, true)
+	if latch == nil {
+		e.cMemoHits.Inc()
+		return en
+	}
+	defer sh.release(s, latch)
+	e.cMemoMisses.Inc()
+	first := s.First()
+	if s == hypergraph.Singleton(first) {
+		en = e.base(first)
+		en.charged = true
+		sh.store(s, en)
+		return en
+	}
+	rest := e.request(s.Remove(first))
+	if !en.built {
+		if rest.size == 0 {
+			// R_s = R_rest ⋈ R_first is empty whatever R_first holds.
+			en = e.emptyEntry(s)
+		} else {
+			en = e.build(s, rest.rel)
 		}
+	}
+	// Memoize before charging: the work is done either way, and a warm
+	// memo lets a degradation fallback reuse it free of charge.
+	en.charged = true
+	sh.store(s, en)
+	// Count before the charge can abort, mirroring the guard's ledger
+	// semantics: a charge that trips is still spent.
+	e.cTuples.Add(int64(en.size))
+	e.cStates.Inc()
+	e.cSteps.Inc()
+	dict := e.db.Relation(first).Dict()
+	if en.rel != nil {
+		e.cJoinParts.Add(int64(en.rel.JoinPartitions()))
+		dict = en.rel.Dict()
+	}
+	e.gIntern.Set(int64(dict.Len()))
+	if e.guard != nil {
+		guard.Must(e.guard.ChargeEval(en.size))
+	}
+	return en
+}
+
+// built returns s's entry, building it uncharged — a helper build — when
+// the memo has none.
+func (e *Evaluator) built(s hypergraph.Set) memoEntry {
+	if first := s.First(); s == hypergraph.Singleton(first) {
+		return e.base(first)
+	}
+	sh := e.shard(s)
+	en, latch := e.acquire(sh, s, false)
+	if latch == nil {
+		return en
+	}
+	defer sh.release(s, latch)
+	// A helper build charges nothing, so it polls the context itself.
+	guard.Must(e.guard.Err())
+	en = e.build(s, nil)
+	sh.store(s, en)
+	return en
+}
+
+// base is the entry of the single relation i.
+func (e *Evaluator) base(i int) memoEntry {
+	r := e.db.Relation(i)
+	return memoEntry{rel: r, size: r.Size(), built: true}
+}
+
+// emptyEntry is the entry of a set s with R_s = ∅.
+func (e *Evaluator) emptyEntry(s hypergraph.Set) memoEntry {
+	en := memoEntry{built: true}
+	if e.db.Graph().Connected(s) {
+		en.rel = e.emptyRel(s)
+	}
+	return en
+}
+
+// emptyRel returns an empty relation over s's attributes.
+func (e *Evaluator) emptyRel(s hypergraph.Set) *relation.Relation {
+	return relation.NewIn(e.db.Relation(s.First()).Dict(), "", e.db.Graph().Attrs(s))
+}
+
+// build computes the entry of s, which has two or more relations,
+// without charging it. restRel is R_{s∖{min s}} when the caller holds it,
+// else nil.
+func (e *Evaluator) build(s hypergraph.Set, restRel *relation.Relation) memoEntry {
+	if !s.Disjoint(e.empty) {
+		// A set holding an empty relation joins to ∅ whatever else it holds.
+		return e.emptyEntry(s)
+	}
+	g := e.db.Graph()
+	if !g.Connected(s) {
+		size := 1
+		for _, c := range g.Components(s) {
+			if size = mulSize(size, e.built(c).size); size == 0 {
+				break
+			}
+		}
+		if size > MaxSize {
+			guard.Abort(&SizeError{Set: s, Phase: e.guard.Phase()})
+		}
+		return memoEntry{size: size, built: true}
+	}
+	// Split off the lowest-indexed relation whose removal leaves the rest
+	// connected; one exists, a leaf of any spanning tree of s.
+	x := s.First()
+	for t := s; !g.Connected(s.Remove(x)); {
+		t &= t - 1
+		x = t.First()
+	}
+	if x != s.First() || restRel == nil {
+		restRel = e.built(s.Remove(x)).rel
+	}
+	r := relation.Join(restRel, e.db.Relation(x))
+	return memoEntry{rel: r, size: r.Size(), built: true}
+}
+
+// mulSize multiplies two sizes, saturating just above MaxSize so that a
+// later empty factor still brings the product back to 0.
+func mulSize(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > MaxSize {
+		return MaxSize + 1
+	}
+	return int(lo)
+}
+
+// acquire returns s's entry when it is built and, if charged is set,
+// charged. Otherwise it takes s's in-flight latch and returns it with the
+// entry as it stands; the caller stores the entry it needs and releases
+// the latch. While another goroutine holds the latch, acquire counts an
+// in-flight wait, waits, and looks again.
+func (e *Evaluator) acquire(sh *memoShard, s hypergraph.Set, charged bool) (memoEntry, chan struct{}) {
+	for {
 		sh.mu.RLock()
-		r, ok := sh.rels[s]
+		en := sh.entries[s]
 		sh.mu.RUnlock()
-		if ok {
-			e.cMemoHits.Inc()
-			return r
+		if en.charged || en.built && !charged {
+			return en, nil
 		}
 		sh.mu.Lock()
-		if r, ok := sh.rels[s]; ok {
+		if en = sh.entries[s]; en.charged || en.built && !charged {
 			sh.mu.Unlock()
-			e.cMemoHits.Inc()
-			return r
+			return en, nil
 		}
 		if latch, ok := sh.inflight[s]; ok {
 			sh.mu.Unlock()
 			e.cInflightWaits.Inc()
-			// The computer releases the latch on every path — success,
+			// The holder releases the latch on every path — success,
 			// guard abort, even a join panic — so this cannot block
-			// forever. Loop back: the memo usually holds the result now;
-			// if the computer died before memoizing, this caller takes
-			// over the computation.
+			// forever. Loop back: the memo usually holds the entry now;
+			// if the holder died first, this caller takes over the work.
 			<-latch
 			continue
 		}
 		latch := make(chan struct{})
 		sh.inflight[s] = latch
 		sh.mu.Unlock()
-		return e.compute(sh, s, latch)
+		return en, latch
 	}
 }
 
-// compute materializes the subset s, holding its in-flight latch. The
-// latch is released on every exit path, including a guard abort
-// unwinding through the charge, so waiters never deadlock.
-func (e *Evaluator) compute(sh *memoShard, s hypergraph.Set, latch chan struct{}) *relation.Relation {
-	defer func() {
-		sh.mu.Lock()
-		delete(sh.inflight, s)
-		sh.mu.Unlock()
-		close(latch)
-	}()
-	e.cMemoMisses.Inc()
-	var result *relation.Relation
-	if s.Len() == 1 {
-		result = e.db.Relation(s.First())
-	} else {
-		first := s.First()
-		rest := s.Remove(first)
-		result = relation.Join(e.Eval(rest), e.db.Relation(first))
-	}
-	// Memoize before charging: the work is done either way, and a warm
-	// memo lets a degradation fallback reuse it free of charge.
+// store memoizes en as s's entry.
+func (sh *memoShard) store(s hypergraph.Set, en memoEntry) {
 	sh.mu.Lock()
-	sh.rels[s] = result
+	sh.entries[s] = en
 	sh.mu.Unlock()
-	if s.Len() > 1 {
-		// Count before the charge can abort, mirroring the guard's
-		// ledger semantics: spend reflects work actually performed.
-		e.cTuples.Add(int64(result.Size()))
-		e.cStates.Inc()
-		e.cSteps.Inc()
-		e.cJoinParts.Add(int64(result.JoinPartitions()))
-		e.gIntern.Set(int64(result.Dict().Len()))
-		if e.guard != nil {
-			guard.Must(e.guard.ChargeEval(result.Size()))
-		}
-	}
-	return result
 }
 
-// memoGet returns the memoized relation for s, if present, without
-// counting memo traffic — the prewarmer's read path.
+// keep stores r as the relation of s's entry unless the entry already
+// holds one, and returns the relation the entry holds.
+func (sh *memoShard) keep(s hypergraph.Set, r *relation.Relation) *relation.Relation {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	en := sh.entries[s]
+	if en.rel == nil {
+		en.rel = r
+		sh.entries[s] = en
+	}
+	return en.rel
+}
+
+// release drops s's in-flight latch and wakes its waiters.
+func (sh *memoShard) release(s hypergraph.Set, latch chan struct{}) {
+	sh.mu.Lock()
+	delete(sh.inflight, s)
+	sh.mu.Unlock()
+	close(latch)
+}
+
+// memoGet returns the memoized relation for the connected subset s, if
+// present, without counting memo traffic — the prewarmer's read path.
 func (e *Evaluator) memoGet(s hypergraph.Set) (*relation.Relation, bool) {
 	sh := e.shard(s)
 	sh.mu.RLock()
-	r, ok := sh.rels[s]
+	en := sh.entries[s]
 	sh.mu.RUnlock()
-	return r, ok
+	return en.rel, en.rel != nil
 }
 
-// memoPut stores a fully materialized (and, when governed, fully
-// charged) relation for s — the prewarmer's write path. Concurrent
-// writers of distinct subsets land on distinct shard locks.
+// memoPut stores a materialized and, when governed, charged relation for
+// s — the prewarmer's write path. Concurrent writers of distinct subsets
+// land on distinct shard locks.
 func (e *Evaluator) memoPut(s hypergraph.Set, r *relation.Relation) {
-	sh := e.shard(s)
-	sh.mu.Lock()
-	sh.rels[s] = r
-	sh.mu.Unlock()
+	e.shard(s).store(s, memoEntry{rel: r, size: r.Size(), built: true, charged: true})
 }
 
-// memoRange calls fn for every memoized subset until fn returns false.
-// It visits shard by shard under the read locks; tests and diagnostics
-// use it, the hot paths never do.
-func (e *Evaluator) memoRange(fn func(hypergraph.Set, *relation.Relation) bool) {
+// memoRange calls fn for every memo entry until fn returns false. It
+// visits shard by shard under the read locks; tests and diagnostics use
+// it, the hot paths never do.
+func (e *Evaluator) memoRange(fn func(hypergraph.Set, memoEntry) bool) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
-		for s, r := range sh.rels {
-			if !fn(s, r) {
+		for s, en := range sh.entries {
+			if !fn(s, en) {
 				sh.mu.RUnlock()
 				return
 			}
@@ -258,10 +482,6 @@ func (e *Evaluator) memoRange(fn func(hypergraph.Set, *relation.Relation) bool) 
 		sh.mu.RUnlock()
 	}
 }
-
-// Size returns τ(R_D′) for the subset s: the number of tuples in the
-// join of the selected states.
-func (e *Evaluator) Size(s hypergraph.Set) int { return e.Eval(s).Size() }
 
 // JoinSize returns τ(R_a ⋈ R_b) for disjoint subsets a and b — which by
 // definition equals τ(R_{a∪b}).
@@ -276,16 +496,16 @@ func (e *Evaluator) JoinSize(a, b hypergraph.Set) int {
 func (e *Evaluator) Result() *relation.Relation { return e.Eval(e.db.All()) }
 
 // ResultNonEmpty reports the paper's standing hypothesis R_D ≠ ∅.
-func (e *Evaluator) ResultNonEmpty() bool { return !e.Result().Empty() }
+func (e *Evaluator) ResultNonEmpty() bool { return e.Size(e.db.All()) > 0 }
 
-// MemoLen reports how many subsets have been materialized, for tests and
-// instrumentation.
+// MemoLen reports how many subsets have memo entries, helper builds
+// included, for tests and instrumentation.
 func (e *Evaluator) MemoLen() int {
 	n := 0
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
-		n += len(sh.rels)
+		n += len(sh.entries)
 		sh.mu.RUnlock()
 	}
 	return n

@@ -10,7 +10,6 @@ import (
 
 	"multijoin/internal/guard"
 	"multijoin/internal/hypergraph"
-	"multijoin/internal/relation"
 )
 
 // evalTrapped runs fn and converts a guard abort into its error, the
@@ -60,9 +59,12 @@ func TestEvaluatorTupleBudgetAborts(t *testing.T) {
 	if !errors.As(err, &be) || be.Resource != "tuples" {
 		t.Fatalf("want tuples budget abort, got %v", err)
 	}
-	// The memo keeps what was materialized; evaluating those subsets
-	// again succeeds without new charges.
-	ev.memoRange(func(s hypergraph.Set, _ *relation.Relation) bool {
+	// The memo keeps what was charged; evaluating those subsets again
+	// succeeds without new charges.
+	ev.memoRange(func(s hypergraph.Set, en memoEntry) bool {
+		if !en.charged {
+			return true
+		}
 		if err := evalTrapped(func() { ev.Eval(s) }); err != nil {
 			t.Fatalf("memo hit re-tripped: %v", err)
 		}

@@ -80,14 +80,15 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 	}
 }
 
-// checkMemoConsistent asserts that every memoized subset equals the
-// sequential evaluator's materialization — the guarantee that an
-// aborted prewarm leaves a usable, never a corrupted, memo.
+// checkMemoConsistent asserts that every memo entry agrees with the
+// sequential evaluator's size and, where it holds one, relation — the
+// guarantee that an aborted prewarm leaves a usable, never a corrupted,
+// memo.
 func checkMemoConsistent(t *testing.T, db *Database, warm *Evaluator) {
 	t.Helper()
 	cold := NewEvaluator(db)
-	warm.memoRange(func(s hypergraph.Set, rel *relation.Relation) bool {
-		if !rel.Equal(cold.Eval(s)) {
+	warm.memoRange(func(s hypergraph.Set, en memoEntry) bool {
+		if en.size != cold.Size(s) || en.rel != nil && !en.rel.Equal(cold.Eval(s)) {
 			t.Fatalf("memo entry %v inconsistent after abort", s)
 		}
 		return true

@@ -60,7 +60,7 @@ func runAbort(w io.Writer) Summary {
 		for t := 0; t < 25; t++ {
 			db := emptyResultDB(rng, n)
 			ev := database.NewEvaluator(db)
-			if !ev.Result().Empty() {
+			if ev.ResultNonEmpty() {
 				continue
 			}
 			trials++

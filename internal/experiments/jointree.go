@@ -65,7 +65,7 @@ func runJoinTree(w io.Writer) Summary {
 				continue
 			}
 			ev := database.NewEvaluator(reduced)
-			if ev.Result().Empty() {
+			if !ev.ResultNonEmpty() {
 				continue
 			}
 			trials++

@@ -52,7 +52,7 @@ func runMonotone(w io.Writer) Summary {
 	for t := 0; t < 40; t++ {
 		db := gen.Diagonal(rng, gen.Schemes(gen.Chain, 4), 7, 0.55)
 		ev := database.NewEvaluator(db)
-		if ev.Result().Empty() {
+		if !ev.ResultNonEmpty() {
 			continue
 		}
 		trials++
@@ -79,7 +79,7 @@ func runMonotone(w io.Writer) Summary {
 			continue
 		}
 		ev := database.NewEvaluator(reduced)
-		if ev.Result().Empty() {
+		if !ev.ResultNonEmpty() {
 			continue
 		}
 		trials++
@@ -189,7 +189,7 @@ func runOsborn(w io.Writer) Summary {
 	for t := 0; t < 40; t++ {
 		db, fds := fdChain(rng, 4, 6)
 		ev := database.NewEvaluator(db)
-		if ev.Result().Empty() {
+		if !ev.ResultNonEmpty() {
 			continue
 		}
 		if !conditions.Check(ev, conditions.C2).Holds {

@@ -56,7 +56,7 @@ func runTheoremValidation(w io.Writer, theorem core.Theorem, seed int64,
 	trialDatabases(seed, 400, func(db *database.Database) {
 		trials++
 		ev := database.NewEvaluator(db)
-		if ev.Result().Empty() {
+		if !ev.ResultNonEmpty() {
 			return
 		}
 		profile := core.Profile{
@@ -210,7 +210,7 @@ func runC4(w io.Writer) Summary {
 				continue
 			}
 			ev := database.NewEvaluator(reduced)
-			if ev.Result().Empty() {
+			if !ev.ResultNonEmpty() {
 				continue
 			}
 			trials++

@@ -64,8 +64,8 @@ func (g *Graph) Attrs(s Set) relation.Schema {
 // excluding s itself.
 func (g *Graph) Neighbors(s Set) Set {
 	var out Set
-	for _, i := range s.Indexes() {
-		out |= g.adj[i]
+	for t := s; t != 0; t &= t - 1 {
+		out |= g.adj[t.First()]
 	}
 	return out &^ s
 }
@@ -75,8 +75,8 @@ func (g *Graph) Neighbors(s Set) Set {
 // distinct schemes coincides with pairwise adjacency between some member
 // of a and some member of b.
 func (g *Graph) Linked(a, b Set) bool {
-	for _, i := range a.Indexes() {
-		if g.adj[i]&b != 0 {
+	for t := a; t != 0; t &= t - 1 {
+		if g.adj[t.First()]&b != 0 {
 			return true
 		}
 	}
@@ -100,8 +100,8 @@ func (g *Graph) componentOf(seed int, universe Set) Set {
 	frontier := comp
 	for frontier != 0 {
 		var next Set
-		for _, i := range frontier.Indexes() {
-			next |= g.adj[i] & universe
+		for t := frontier; t != 0; t &= t - 1 {
+			next |= g.adj[t.First()] & universe
 		}
 		frontier = next &^ comp
 		comp |= frontier

@@ -398,3 +398,20 @@ func TestAcyclicityHierarchy(t *testing.T) {
 		}
 	}
 }
+
+// TestConnectivityQueriesDoNotAllocate pins the set iteration inside the
+// connectivity queries to the bitmask itself: the condition checkers and
+// the evaluator call them on every subset they touch.
+func TestConnectivityQueriesDoNotAllocate(t *testing.T) {
+	g := New(append(chainSchemes(8), starSchemes(8)...))
+	chain, star := Full(8), Full(16).Minus(Full(8))
+	for name, fn := range map[string]func(){
+		"Linked":    func() { g.Linked(chain, star) },
+		"Neighbors": func() { g.Neighbors(Set(0b1010_0101)) },
+		"Connected": func() { g.Connected(chain) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, allocs)
+		}
+	}
+}

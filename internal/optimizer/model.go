@@ -72,7 +72,7 @@ func OptimizeModelObserved(db *database.Database, size SizeModel, space Space,
 		Space:    space,
 		Strategy: o.build(all),
 		Est:      cost,
-		States:   len(o.cost),
+		States:   len(o.memo),
 	}, nil
 }
 

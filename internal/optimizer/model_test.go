@@ -166,6 +166,33 @@ func TestOptimizeModelNeverExecutes(t *testing.T) {
 	}
 }
 
+// TestDPSizesEachSubsetOnce pins the DP to one model call per subset
+// and space: every split of a subset shares its result size, and a
+// histogram model pays a merge for each call.
+func TestDPSizesEachSubsetOnce(t *testing.T) {
+	dbs := []*database.Database{paperex.Example1(), paperex.Example5()}
+	for _, shape := range []gen.Shape{gen.Chain, gen.Star, gen.Clique} {
+		dbs = append(dbs, gen.Uniform(rand.New(rand.NewSource(212)), gen.Schemes(shape, 6), 4, 3))
+	}
+	for di, db := range dbs {
+		for _, space := range DPSpaces() {
+			calls := map[hypergraph.Set]int{}
+			size := func(s hypergraph.Set) float64 {
+				calls[s]++
+				return float64(s.Len())
+			}
+			if _, err := OptimizeModel(db, size, space); err != nil && !errors.Is(err, ErrEmptySpace) {
+				t.Fatal(err)
+			}
+			for s, n := range calls {
+				if n > 1 {
+					t.Errorf("db %d %v: subset %v sized %d times, want once", di, space, s, n)
+				}
+			}
+		}
+	}
+}
+
 func TestOptimizeModelGoverned(t *testing.T) {
 	db := paperex.Example5()
 	g := guard.New(context.Background(), guard.Limits{MaxStates: 3})

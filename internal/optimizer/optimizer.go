@@ -126,10 +126,13 @@ func Optimize(ev *database.Evaluator, space Space) (res Result, err error) {
 		return Result{}, err
 	}
 	rec := ev.Recorder()
-	// The exact size model: τ measured by executing the join through the
-	// memoized evaluator. Sums of exact integer sizes stay below 2^53 long
-	// before any feasible budget, so the float64 DP core reproduces the
-	// integer arithmetic bit for bit.
+	// The exact size model: τ from the memoized evaluator, which joins
+	// connected subsets and multiplies the sizes of a Cartesian product's
+	// components. Each size is at most database.MaxSize = 2^53, so it is
+	// exact in float64, and a cost, a sum of at most n−1 sizes, converts
+	// to int without overflow. The float64 DP core reproduces integer
+	// arithmetic bit for bit while costs stay below 2^53; only plans
+	// through products no join could materialize pass that and round.
 	size := func(s hypergraph.Set) float64 { return float64(ev.Size(s)) }
 	o := newDP(db, size, ev.Guard(), rec, space, dpCounters(rec, space))
 	defer rec.Timer(obs.MetricDPSpaceWall(space.String())).Start().Stop()
@@ -142,7 +145,7 @@ func Optimize(ev *database.Evaluator, space Space) (res Result, err error) {
 		Space:    space,
 		Strategy: o.build(all),
 		Cost:     int(cost),
-		States:   len(o.cost),
+		States:   len(o.memo),
 	}, nil
 }
 
@@ -170,8 +173,7 @@ func newDP(db *database.Database, size SizeModel, gd *guard.Guard, rec *obs.Reco
 		space: space,
 		size:  size,
 		gd:    gd,
-		cost:  make(map[hypergraph.Set]float64),
-		pick:  make(map[hypergraph.Set][2]hypergraph.Set),
+		memo:  make(map[hypergraph.Set]dpEntry),
 
 		cStates:      counters[0],
 		cStatesAll:   counters[1],
@@ -192,8 +194,9 @@ func newDP(db *database.Database, size SizeModel, gd *guard.Guard, rec *obs.Reco
 // dp is the memoized subset dynamic program shared by all four spaces
 // and both cost regimes: the exact pipeline plugs in the evaluator's
 // measured τ, the planning pipeline an estimate.Catalog model. Costs are
-// float64 throughout — exact integer τ sums are far below 2^53, so the
-// exact pipeline's results are unchanged.
+// float64 throughout — the exact pipeline's sizes are integers of at most
+// 2^53 (database.MaxSize), so its costs are exact until a sum passes
+// 2^53, which only plans through unmaterializable products reach.
 type dp struct {
 	g          *hypergraph.Graph
 	space      Space
@@ -201,8 +204,7 @@ type dp struct {
 	gd         *guard.Guard
 	components []hypergraph.Set
 	compOf     []hypergraph.Set // relation index -> its component
-	cost       map[hypergraph.Set]float64
-	pick       map[hypergraph.Set][2]hypergraph.Set
+	memo       map[hypergraph.Set]dpEntry
 
 	// Observability: subsets expanded (per-space and the shared
 	// `dp.states` ledger reconciling with guard.ChargeStates), splits
@@ -216,14 +218,21 @@ type dp struct {
 	hasCartesian bool
 }
 
+// dpEntry is a solved DP state: the cheapest subtree cost of its subset
+// (+Inf when the space admits none) and the root split attaining it.
+type dpEntry struct {
+	cost float64
+	pick [2]hypergraph.Set
+}
+
 // solve returns the cheapest subtree cost for the subset s within the
 // space's constraints, or +Inf when no valid subtree exists.
 func (o *dp) solve(s hypergraph.Set) float64 {
 	if s.Len() == 1 {
 		return 0
 	}
-	if c, ok := o.cost[s]; ok {
-		return c
+	if e, ok := o.memo[s]; ok {
+		return e.cost
 	}
 	// Mirror before charging, like the evaluator: a charge that trips
 	// the budget is counted by the guard, so the ledger must count it
@@ -232,8 +241,13 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 	o.cStatesAll.Inc()
 	guard.Must(o.gd.ChargeStates(1))
 	best := math.Inf(1)
-	o.cost[s] = best // guard against re-entry; overwritten below
+	o.memo[s] = dpEntry{cost: best} // guard against re-entry; overwritten below
 	var bestSplit [2]hypergraph.Set
+	// |R_s| is the same on every split, so the model is asked once, at
+	// the first split that survives pruning: the exact pipeline's
+	// evaluator then sees its first request for s where it always did.
+	var size float64
+	sized := false
 
 	consider := func(a, b hypergraph.Set) {
 		if o.hasCartesian && !o.g.Linked(a, b) {
@@ -249,7 +263,10 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 			o.cPruned.Inc()
 			return
 		}
-		total := ca + cb + o.size(s)
+		if !sized {
+			size, sized = o.size(s), true
+		}
+		total := ca + cb + size
 		if total < best {
 			best = total
 			bestSplit = [2]hypergraph.Set{a, b}
@@ -263,9 +280,9 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 			return true
 		})
 	case SpaceLinear:
-		for _, i := range s.Indexes() {
-			rest := s.Remove(i)
-			consider(rest, hypergraph.Singleton(i))
+		for t := s; t != 0; t &= t - 1 {
+			i := t.First()
+			consider(s.Remove(i), hypergraph.Singleton(i))
 		}
 	case SpaceNoCP:
 		if s.SubsetOf(o.compOf[s.First()]) {
@@ -283,18 +300,19 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 			mask := hypergraph.Full(len(comps))
 			mask.ProperSubsetPairs(func(am, bm hypergraph.Set) bool {
 				var a, b hypergraph.Set
-				for _, i := range am.Indexes() {
-					a = a.Union(comps[i])
+				for t := am; t != 0; t &= t - 1 {
+					a = a.Union(comps[t.First()])
 				}
-				for _, i := range bm.Indexes() {
-					b = b.Union(comps[i])
+				for t := bm; t != 0; t &= t - 1 {
+					b = b.Union(comps[t.First()])
 				}
 				consider(a, b)
 				return true
 			})
 		}
 	case SpaceLinearNoCP:
-		for _, i := range s.Indexes() {
+		for t := s; t != 0; t &= t - 1 {
+			i := t.First()
 			rest := s.Remove(i)
 			leaf := hypergraph.Singleton(i)
 			if o.allowedNoCP(s, rest, leaf) {
@@ -302,10 +320,7 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 			}
 		}
 	}
-	o.cost[s] = best
-	if !math.IsInf(best, 1) {
-		o.pick[s] = bestSplit
-	}
+	o.memo[s] = dpEntry{cost: best, pick: bestSplit}
 	return best
 }
 
@@ -350,7 +365,7 @@ func (o *dp) build(s hypergraph.Set) *strategy.Node {
 	if s.Len() == 1 {
 		return strategy.Leaf(s.First())
 	}
-	split := o.pick[s]
+	split := o.memo[s].pick
 	return strategy.Combine(o.build(split[0]), o.build(split[1]))
 }
 

@@ -208,15 +208,6 @@ func (s Schema) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Key returns a canonical string usable as a map key for the schema.
-func (s Schema) Key() string {
-	parts := make([]string, len(s.attrs))
-	for i, a := range s.attrs {
-		parts[i] = string(a)
-	}
-	return strings.Join(parts, "\x00")
-}
-
 // UnionSchemas returns the union of all given schemes (the ∪D of the
 // paper, where D is a database scheme).
 func UnionSchemas(schemes []Schema) Schema {

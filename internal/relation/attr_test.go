@@ -63,10 +63,10 @@ func TestSchemaSetOps(t *testing.T) {
 		if got := a.Union(b).String(); got != tc.union && !(tc.union == "" && got == "{}") {
 			t.Errorf("%s ∪ %s = %s, want %s", tc.a, tc.b, got, tc.union)
 		}
-		if got := a.Intersect(b); got.Key() != SchemaFromString(tc.inter).Key() {
+		if got := a.Intersect(b); !got.Equal(SchemaFromString(tc.inter)) {
 			t.Errorf("%s ∩ %s = %s, want %s", tc.a, tc.b, got, tc.inter)
 		}
-		if got := a.Minus(b); got.Key() != SchemaFromString(tc.minus).Key() {
+		if got := a.Minus(b); !got.Equal(SchemaFromString(tc.minus)) {
 			t.Errorf("%s − %s = %s, want %s", tc.a, tc.b, got, tc.minus)
 		}
 		if got := a.Overlaps(b); got != tc.overlaps {
@@ -113,9 +113,9 @@ func schemaFromMask(mask uint16) Schema {
 func TestSchemaOpsMatchBitmaskSemantics(t *testing.T) {
 	f := func(x, y uint16) bool {
 		a, b := schemaFromMask(x), schemaFromMask(y)
-		return a.Union(b).Key() == schemaFromMask(x|y).Key() &&
-			a.Intersect(b).Key() == schemaFromMask(x&y).Key() &&
-			a.Minus(b).Key() == schemaFromMask(x&^y).Key() &&
+		return a.Union(b).Equal(schemaFromMask(x|y)) &&
+			a.Intersect(b).Equal(schemaFromMask(x&y)) &&
+			a.Minus(b).Equal(schemaFromMask(x&^y)) &&
 			a.Overlaps(b) == (x&y != 0) &&
 			a.SubsetOf(b) == (x&^y == 0) &&
 			a.Equal(b) == (x == y)

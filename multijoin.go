@@ -35,8 +35,8 @@ type (
 	Relation = relation.Relation
 	// Database is the paper's 𝒟 = (D, D): schemes plus states.
 	Database = database.Database
-	// Evaluator materializes and memoizes R_D′ for subsets D′ ⊆ D; it
-	// backs the cost function τ.
+	// Evaluator sizes, materializes and memoizes R_D′ for subsets
+	// D′ ⊆ D; it backs the cost function τ.
 	Evaluator = database.Evaluator
 	// Set is a subset of a database's relations, as a bitset over
 	// relation indexes.
