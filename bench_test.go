@@ -246,24 +246,3 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
-
-// BenchmarkPrewarmParallel measures materializing all connected subsets
-// of a 16-relation chain with 1 vs many workers (the Section 1 parallel-
-// machines motivation, applied to the evaluator). The speedup tracks the
-// machine's core count: on a single-core runner the two variants tie
-// (correctness is what the tests pin down; PrewarmConnected is verified
-// byte-identical to the sequential evaluator under -race).
-func BenchmarkPrewarmParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	// Size-stable data (domain ≈ rows keeps joins near the base size), so
-	// the bench measures the worker pool rather than join fan-out.
-	db := multijoin.GenerateUniform(rng, multijoin.GenerateSchemes(multijoin.ShapeChain, 16), 2000, 2000)
-	for _, workers := range []int{1, 4} {
-		b.Run(itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				multijoin.PrewarmConnected(db, workers)
-			}
-		})
-	}
-}

@@ -32,7 +32,6 @@ func main() {
 	run := flag.String("run", "", "run a single experiment by ID (default: all)")
 	bench := flag.Bool("bench", false, "run the bench pipeline over the fixed corpus")
 	benchOut := flag.String("bench-out", "BENCH_joinopt.json", "bench report output file")
-	benchWorkers := flag.Int("bench-workers", 0, "prewarm workers for -bench (0 = GOMAXPROCS)")
 	checkBench := flag.String("check-bench", "", "validate a bench report file and exit")
 	flag.Parse()
 
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	if *bench {
-		if err := runBench(*benchOut, *benchWorkers); err != nil {
+		if err := runBench(*benchOut); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
@@ -98,8 +97,8 @@ func main() {
 
 // runBench executes the bench pipeline, validates the report before
 // writing it, and saves it to path.
-func runBench(path string, workers int) error {
-	rep, err := experiments.RunBench(context.Background(), os.Stdout, workers)
+func runBench(path string) error {
+	rep, err := experiments.RunBench(context.Background(), os.Stdout)
 	if err != nil {
 		return err
 	}

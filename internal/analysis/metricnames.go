@@ -47,15 +47,10 @@ func runMetricNames(pass *Pass) {
 			if !ok {
 				return true
 			}
-			recv, nameArg := typeOf(pass.TypesInfo, sel.X), false
-			if metricNameMethods[sel.Sel.Name] {
-				m, _ := namedTypeIs(recv, obsPkg, "Recorder")
-				nameArg = m
-			} else if sel.Sel.Name == "StartChild" {
-				m, _ := namedTypeIs(recv, obsPkg, "Span")
-				nameArg = m
+			if !metricNameMethods[sel.Sel.Name] {
+				return true
 			}
-			if !nameArg {
+			if m, _ := namedTypeIs(typeOf(pass.TypesInfo, sel.X), obsPkg, "Recorder"); !m {
 				return true
 			}
 			if !c.registryName(call.Args[0], 4) {

@@ -5,8 +5,7 @@ import (
 	"strings"
 )
 
-// SpanClose requires every span opened with obs StartSpan/StartChild to
-// be closed in the function that opened it: the result must be bound to
+// SpanClose requires every span opened with obs StartSpan to be closed in the function that opened it: the result must be bound to
 // a local whose `.End()` appears somewhere in the enclosing function —
 // directly, deferred, or inside a function literal the function installs
 // (the beginPhase closer pattern) — or the span must escape to a caller
@@ -17,7 +16,7 @@ import (
 // obs package itself is exempt — it is the implementation.
 var SpanClose = &Analyzer{
 	Name: "spanclose",
-	Doc:  "every obs.StartSpan/StartChild result must be ended in the opening function or escape to a caller",
+	Doc:  "every obs.StartSpan result must be ended in the opening function or escape to a caller",
 	Applies: func(rel string) bool {
 		return strings.HasPrefix(rel, "internal/") && rel != "internal/obs"
 	},
@@ -108,26 +107,17 @@ func checkSpanBinding(pass *Pass, scope *funcScope, lhs ast.Expr, call *ast.Call
 	}
 }
 
-// isSpanStart reports whether the call is obs.(*Recorder).StartSpan or
-// obs.(*Span).StartChild. Type information is authoritative when
-// present; without it the method name decides (the fixture and any
-// type-broken file degrade to syntactic matching).
+// isSpanStart reports whether the call is obs.(*Recorder).StartSpan.
+// Type information is authoritative when present; without it the
+// method name decides (the fixture and any type-broken file degrade to
+// syntactic matching).
 func isSpanStart(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	var wantRecv string
-	switch sel.Sel.Name {
-	case "StartSpan":
-		wantRecv = "Recorder"
-	case "StartChild":
-		wantRecv = "Span"
-	default:
+	if !ok || sel.Sel.Name != "StartSpan" {
 		return false
 	}
 	if tv, found := pass.TypesInfo.Types[sel.X]; found && tv.Type != nil {
-		match, ok := namedTypeIs(tv.Type, obsPkg, wantRecv)
+		match, ok := namedTypeIs(tv.Type, obsPkg, "Recorder")
 		if ok {
 			return match
 		}

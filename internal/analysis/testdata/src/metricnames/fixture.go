@@ -13,8 +13,8 @@ func record(rec *obs.Recorder, phase string, n int64) {
 	name := obs.MetricDPStates
 	rec.Counter(name).Add(1)
 	sp := rec.StartSpan(obs.SpanRequest)
-	sp.StartChild(obs.SpanPhase(phase)).End()
 	sp.End()
+	rec.StartSpan(obs.SpanPhase(phase)).End()
 
 	rec.Counter("eval.tuples").Add(n)        // want "Counter name must come from"
 	rec.Gauge("queue.depth").Set(n)          // want "Gauge name must come from"

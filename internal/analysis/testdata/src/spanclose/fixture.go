@@ -77,22 +77,6 @@ func failWithoutEnd(rec *obs.Recorder) {
 	sp.Fail(errors.New("tripped"))
 }
 
-func childEndedInGoroutine(parent *obs.Span) {
-	go func() {
-		defer func() { _ = recover() }()
-		sp := parent.StartChild("worker")
-		sp.End()
-	}()
-}
-
-func childLeakedInGoroutine(parent *obs.Span) {
-	go func() {
-		defer func() { _ = recover() }()
-		sp := parent.StartChild("worker") // want "never ended in this function"
-		sp.AddDelta(1, 0, 0)
-	}()
-}
-
 func varDeclLeaked(rec *obs.Recorder) {
 	var sp = rec.StartSpan("leaked") // want "never ended in this function"
 	sp.SetAttr("k", "v")

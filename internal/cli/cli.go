@@ -70,7 +70,7 @@ func Run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole run, e.g. 500ms (0 = none)")
 	maxTuples := fs.Int64("max-tuples", 0, "budget on materialized intermediate tuples, the paper's τ (0 = unlimited)")
 	maxStates := fs.Int64("max-states", 0, "budget on evaluator memo + optimizer DP states examined (0 = unlimited)")
-	parallelSpaces := fs.Bool("parallel-spaces", true, "run the four subspace optimizations concurrently (false: one at a time, for strictly ordered traces)")
+	fs.Bool("parallel-spaces", true, "ignored: the four subspace optimizations always run one at a time")
 	metricsOut := fs.String("metrics-out", "", "write the run's counter/gauge/timer snapshot as JSON to this file")
 	traceOut := fs.String("trace-out", "", "write the run's structured event trace as JSON to this file")
 	debugAddr := fs.String("debug-addr", "", "serve expvar and net/http/pprof on this address, e.g. :6060")
@@ -153,7 +153,7 @@ func Run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case *optima:
 			return listOptima(stdout, db, g, rec)
 		case *format == "json":
-			an, err := runAnalysis(db, g, rec, *parallelSpaces)
+			an, err := runAnalysis(db, g, rec)
 			if err != nil {
 				return err
 			}
@@ -167,7 +167,7 @@ func Run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case *format != "text":
 			return exitcode.Input(fmt.Errorf("unknown format %q", *format))
 		default:
-			return analyze(stdout, db, g, rec, *parallelSpaces, *listStrategies)
+			return analyze(stdout, db, g, rec, *listStrategies)
 		}
 	}()
 	// Metrics and trace are written even for failed runs — a tripped or
@@ -505,22 +505,17 @@ func optimaFallback(w io.Writer, ev *database.Evaluator, sp optimizer.Space, cau
 }
 
 // runAnalysis runs the full analysis over a fresh governed, observed
-// evaluator, in parallel-subspace or sequential mode per the
-// -parallel-spaces flag.
-func runAnalysis(db *database.Database, g *guard.Guard, rec *obs.Recorder, parallel bool) (*core.Analysis, error) {
-	ev := database.NewEvaluator(db).WithGuard(g).WithRecorder(rec)
-	if parallel {
-		return core.AnalyzeEvaluator(ev)
-	}
-	return core.AnalyzeEvaluatorSequential(ev)
+// evaluator.
+func runAnalysis(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*core.Analysis, error) {
+	return core.AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g).WithRecorder(rec))
 }
 
-func analyze(w io.Writer, db *database.Database, g *guard.Guard, rec *obs.Recorder, parallel, listStrategies bool) error {
+func analyze(w io.Writer, db *database.Database, g *guard.Guard, rec *obs.Recorder, listStrategies bool) error {
 	fmt.Fprintln(w, "database:")
 	fmt.Fprintln(w, db)
 	fmt.Fprintln(w)
 
-	an, err := runAnalysis(db, g, rec, parallel)
+	an, err := runAnalysis(db, g, rec)
 	if err != nil {
 		return err
 	}

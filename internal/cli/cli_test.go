@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,6 +402,36 @@ func TestJSONFormatTruncated(t *testing.T) {
 	}
 	if len(parsed.Truncated) == 0 || parsed.Truncated[0].Phase != "optimize:all" {
 		t.Fatalf("JSON missing truncation records: %+v", parsed)
+	}
+}
+
+// TestBudgetedReportIsDeterministic: which phases a state budget cuts
+// depends on the budget alone, so a budgeted analysis prints the same
+// report on every run, and each truncation's error names the phase the
+// record does.
+func TestBudgetedReportIsDeterministic(t *testing.T) {
+	args := []string{"-example", "5", "-format", "json", "-max-states", "40"}
+	first, errOut, code := run(t, args...)
+	if code != 4 {
+		t.Fatalf("exit %d, want 4 (budget-tripped): %s", code, errOut)
+	}
+	for i := 1; i < 30; i++ {
+		if out, _, _ := run(t, args...); out != first {
+			t.Fatalf("run %d printed a different report:\n%s\nfirst run:\n%s", i, out, first)
+		}
+	}
+	var parsed struct {
+		Truncated []struct {
+			Phase string `json:"phase"`
+			Error string `json:"error"`
+		} `json:"truncated"`
+	}
+	if err := json.Unmarshal([]byte(first), &parsed); err != nil || len(parsed.Truncated) == 0 {
+		t.Fatalf("want truncation records, got err=%v\n%s", err, first)
+	}
+	tr := parsed.Truncated[0]
+	if want := fmt.Sprintf("in phase %q", tr.Phase); !strings.Contains(tr.Error, want) {
+		t.Fatalf("truncated[0].error = %q, want it to contain %s", tr.Error, want)
 	}
 }
 

@@ -132,13 +132,17 @@ func checkC1(ev *database.Evaluator, strict bool) Report {
 	g := ev.Database().Graph()
 	subs := connectedSubsets(g)
 	for _, e := range subs {
+		// A set disjoint from e is linked to it exactly when it meets
+		// e's neighbours, so each candidate is tested against one mask.
+		ne := g.Neighbors(e)
 		for _, e1 := range subs {
-			if !e.Disjoint(e1) || !g.Linked(e, e1) {
+			if !e1.Disjoint(e) || e1.Disjoint(ne) {
 				continue
 			}
 			left := ev.JoinSize(e, e1)
+			avoid := e.Union(e1).Union(ne)
 			for _, e2 := range subs {
-				if !e.Disjoint(e2) || !e1.Disjoint(e2) || g.Linked(e, e2) {
+				if !e2.Disjoint(avoid) {
 					continue
 				}
 				right := ev.JoinSize(e, e2)

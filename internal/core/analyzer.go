@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"multijoin/internal/conditions"
 	"multijoin/internal/database"
@@ -176,33 +175,11 @@ func AnalyzeObserved(db *database.Database, g *guard.Guard, rec *obs.Recorder) (
 
 // AnalyzeEvaluator runs the full analysis against a caller-supplied
 // evaluator — governed by whatever guard and recorder are attached to
-// it — so a prewarmed memo (PrewarmConnectedObserved) is reused instead
-// of being recomputed. This is the entry point the bench pipeline
-// times.
-//
-// The four subspace dynamic programs run concurrently over the shared
-// evaluator (which is safe for concurrent use; racing DPs that miss on
-// the same subset materialize it once via the memo's in-flight latch).
-// The results are identical to a sequential run — each DP is
-// deterministic and evaluator memoization never changes sizes, only who
-// pays the wall-clock — and they are reported in the canonical order
-// whatever order the goroutines finish in. Callers that need the
-// strictly ordered per-phase event stream (one subspace at a time) use
-// AnalyzeEvaluatorSequential.
+// it — so a memo the caller has already filled is reused instead of
+// being recomputed. This is the entry point the bench pipeline times.
+// The four subspace dynamic programs run one after another on the
+// calling goroutine, each as its own `optimize:<space>` phase.
 func AnalyzeEvaluator(ev *database.Evaluator) (*Analysis, error) {
-	return analyzeEvaluator(ev, true)
-}
-
-// AnalyzeEvaluatorSequential is AnalyzeEvaluator with the four subspace
-// optimizations run one at a time on the calling goroutine — the
-// baseline the bench pipeline's analysis section compares the parallel
-// pipeline against, and the mode the CLI's -parallel-spaces=false
-// selects for strictly ordered traces.
-func AnalyzeEvaluatorSequential(ev *database.Evaluator) (*Analysis, error) {
-	return analyzeEvaluator(ev, false)
-}
-
-func analyzeEvaluator(ev *database.Evaluator, parallel bool) (*Analysis, error) {
 	db := ev.Database()
 	if err := db.Validate(); err != nil {
 		return nil, err
@@ -236,33 +213,21 @@ func analyzeEvaluator(ev *database.Evaluator, parallel bool) (*Analysis, error) 
 	an.Profile = profile
 	an.Certificates = Certify(profile)
 
-	spaces := optimizer.DPSpaces()
-	outcomes := make([]spaceOutcome, len(spaces))
-	if parallel {
-		optimizeSpacesParallel(ev, spaces, outcomes)
-	} else {
-		for i, sp := range spaces {
-			phase := "optimize:" + sp.String()
-			endPhase = beginPhase(g, rec, phase)
-			res, err := optimizer.Optimize(ev, sp)
-			endPhase(err)
-			outcomes[i] = spaceOutcome{res: res, err: err}
-		}
-	}
-	for i, sp := range spaces {
-		res, err := outcomes[i].res, outcomes[i].err
-		if err == optimizer.ErrEmptySpace {
-			continue
-		}
-		if guard.Tripped(err) {
-			an.Truncated = append(an.Truncated,
-				Truncation{Phase: "optimize:" + sp.String(), Err: err})
-			continue
-		}
-		if err != nil {
+	for _, sp := range optimizer.DPSpaces() {
+		phase := "optimize:" + sp.String()
+		endPhase = beginPhase(g, rec, phase)
+		res, err := optimizer.Optimize(ev, sp)
+		endPhase(err)
+		switch {
+		case err == optimizer.ErrEmptySpace:
+			// The scheme has no strategy in this space; nothing to report.
+		case guard.Tripped(err):
+			an.Truncated = append(an.Truncated, Truncation{Phase: phase, Err: err})
+		case err != nil:
 			return nil, err
+		default:
+			an.Results = append(an.Results, res)
 		}
-		an.Results = append(an.Results, res)
 	}
 
 	// The acyclic fast path: when every component of the scheme is
@@ -283,6 +248,13 @@ func analyzeEvaluator(ev *database.Evaluator, parallel bool) (*Analysis, error) 
 		}
 	}
 	return an, nil
+}
+
+// AnalyzeEvaluatorSequential is AnalyzeEvaluator.
+//
+// Deprecated: AnalyzeEvaluator runs the subspaces one at a time; call it.
+func AnalyzeEvaluatorSequential(ev *database.Evaluator) (*Analysis, error) {
+	return AnalyzeEvaluator(ev)
 }
 
 // runYannakakis executes the governed reduction + join and folds the
@@ -311,90 +283,20 @@ func runYannakakis(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Y
 	}, nil
 }
 
-// spaceOutcome is one subspace optimization's result as collected from
-// its goroutine (or from the sequential loop).
-type spaceOutcome struct {
-	res optimizer.Result
-	err error
-}
-
-// optimizeSpacesParallel runs one Optimize goroutine per subspace
-// against the shared evaluator, filling outcomes by index. The guard
-// and recorder phase is the single "optimize:parallel" for the whole
-// fan-out — per-goroutine SetPhase would interleave arbitrarily — and
-// each subspace emits its own begin/end event pair with an explicit
-// Phase so traces still delimit every DP. Wall time for the fan-out
-// lands in the `analyze.parallel.wall` timer; the per-space
-// `dp.<space>.wall` timers (ticking inside Optimize) keep measuring
-// each DP individually.
-func optimizeSpacesParallel(ev *database.Evaluator, spaces []optimizer.Space, outcomes []spaceOutcome) {
-	g, rec := ev.Guard(), ev.Recorder()
-	endPhase, phaseSpan := beginPhaseSpan(g, rec, "optimize:parallel")
-	watch := rec.Timer(obs.MetricAnalyzeParallelWall).Start()
-	var wg sync.WaitGroup
-	for i, sp := range spaces {
-		wg.Add(1)
-		go func(i int, sp optimizer.Space) {
-			defer wg.Done()
-			// Panic boundary: Optimize traps guard aborts itself, so this
-			// catches only unexpected panics, which must surface as errors
-			// on the collecting goroutine instead of killing the process.
-			defer func() {
-				if err := guard.Recovered(recover()); err != nil {
-					outcomes[i].err = err
-				}
-			}()
-			name := obs.SpanOptimizeSpace(sp.String())
-			rec.Emit(obs.Event{Kind: "begin", Name: name, Phase: "optimize:parallel"})
-			// StartChild, not StartSpan: sibling goroutines must parent to
-			// the fan-out's phase span, never to each other's open spans.
-			span := phaseSpan.StartChild(name)
-			res, err := optimizer.Optimize(ev, sp)
-			e := obs.Event{Kind: "end", Name: name, Phase: "optimize:parallel"}
-			if err != nil {
-				e.Err = err.Error()
-				span.Fail(err)
-			}
-			span.End()
-			rec.Emit(e)
-			outcomes[i] = spaceOutcome{res: res, err: err}
-		}(i, sp)
-	}
-	wg.Wait()
-	watch.Stop()
-	// The phase ends with the first governance trip, if any, so the
-	// guard.trips counter and the end event's Err reflect the fan-out.
-	var tripped error
-	for i := range outcomes {
-		if guard.Tripped(outcomes[i].err) {
-			tripped = outcomes[i].err
-			break
-		}
-	}
-	endPhase(tripped)
-}
-
 // beginPhase labels the guard and recorder with the phase, emits the
 // begin event (carrying the guard's spend at the boundary, so per-phase
 // consumption is the delta between successive events), starts the
 // phase's wall timer, and returns the closer that emits the matching
-// end event. Both g and rec may be nil.
+// end event. Both g and rec may be nil. The phase also opens a span
+// named `phase:<name>` (stack-parented, so phases nest under whatever
+// request or phase span is already open on the recorder), and the
+// closer stamps the span with the guard-ledger delta accumulated across
+// the phase before ending it.
 func beginPhase(g *guard.Guard, rec *obs.Recorder, name string) func(error) {
-	end, _ := beginPhaseSpan(g, rec, name)
-	return end
-}
-
-// beginPhaseSpan is beginPhase plus a trace span: the phase opens a
-// span named `phase:<name>` (stack-parented, so phases nest under
-// whatever request or phase span is already open on the recorder), and
-// the closer stamps the span with the guard-ledger delta accumulated
-// across the phase before ending it. The span is returned so parallel
-// fan-outs can hang per-goroutine children off it with StartChild.
-func beginPhaseSpan(g *guard.Guard, rec *obs.Recorder, name string) (func(error), *obs.Span) {
 	g.SetPhase(name)
 	rec.SetPhase(name)
 	if rec == nil {
-		return func(error) {}, nil
+		return func(error) {}
 	}
 	snap := g.Snapshot()
 	rec.Emit(obs.Event{Kind: "begin", Name: name,
@@ -417,7 +319,7 @@ func beginPhaseSpan(g *guard.Guard, rec *obs.Recorder, name string) (func(error)
 		}
 		sp.End()
 		rec.Emit(e)
-	}, sp
+	}
 }
 
 // Certify derives the theorem certificates implied by a condition

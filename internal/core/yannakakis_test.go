@@ -69,7 +69,7 @@ func TestYannakakisSpanReconcilesWithLedger(t *testing.T) {
 	g := guard.New(nil, guard.Limits{})
 	rec := obs.NewRecorder()
 	ev := database.NewEvaluator(db).WithGuard(g).WithRecorder(rec)
-	an, err := AnalyzeEvaluatorSequential(ev)
+	an, err := AnalyzeEvaluator(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAnalyzeYannakakisTruncates(t *testing.T) {
 	g := guard.New(nil, guard.Limits{})
 	rec := obs.NewRecorder()
 	ev := database.NewEvaluator(db).WithGuard(g).WithRecorder(rec)
-	if _, err := AnalyzeEvaluatorSequential(ev); err != nil {
+	if _, err := AnalyzeEvaluator(ev); err != nil {
 		t.Fatal(err)
 	}
 	total := g.Snapshot().Tuples.Spent
@@ -124,7 +124,7 @@ func TestAnalyzeYannakakisTruncates(t *testing.T) {
 	// the fast path trips partway through its semijoin program.
 	g2 := guard.New(nil, guard.Limits{MaxTuples: total - yann})
 	ev2 := database.NewEvaluator(db).WithGuard(g2)
-	an, err := AnalyzeEvaluatorSequential(ev2)
+	an, err := AnalyzeEvaluator(ev2)
 	if err != nil {
 		t.Fatal(err)
 	}

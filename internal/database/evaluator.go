@@ -3,7 +3,6 @@ package database
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"multijoin/internal/guard"
 	"multijoin/internal/hypergraph"
@@ -44,16 +43,9 @@ import (
 // Sizes are bounded by MaxSize: a product past it aborts the request
 // with a *SizeError before it is charged.
 //
-// An Evaluator is safe for concurrent use. The memo is striped across
-// memoShardCount RWMutex-guarded shards keyed on a hash of the subset
-// bitmask, and each shard carries per-subset in-flight latches: the
-// goroutine that builds or charges a subset's entry holds the subset's
-// latch, and others needing that entry wait on the latch and then read
-// the memo, so each subset is built and charged at most once however
-// many searchers race on it. A latch holder only ever waits on strict
-// subsets of the set it holds, so the waits cannot form a cycle. The
-// parallel subspace DPs of core.Analyze* and the parallel prewarmer lean
-// on this.
+// An Evaluator belongs to one goroutine: its memo is a plain map with no
+// locking. Callers that want parallelism run independent requests, each
+// on its own Evaluator, as joinserve does.
 //
 // An Evaluator may carry a guard.Guard (WithGuard), in which case every
 // charge counts against the guard's tuple/state/step budgets, every
@@ -62,23 +54,22 @@ import (
 // of the optimizer, core and cli packages trap the abort and surface it
 // as a typed error.
 type Evaluator struct {
-	db     *Database
-	empty  hypergraph.Set // the relations with no tuples
-	shards [memoShardCount]memoShard
-	guard  *guard.Guard
-	rec    *obs.Recorder
+	db    *Database
+	empty hypergraph.Set // the relations with no tuples
+	memo  map[hypergraph.Set]memoEntry
+	guard *guard.Guard
+	rec   *obs.Recorder
 
 	// Metric handles resolved once at attach time so the hot path pays
 	// an atomic add, not a registry lookup; all are the nil no-op
 	// handles when no recorder is attached.
-	cMemoHits      *obs.Counter
-	cMemoMisses    *obs.Counter
-	cInflightWaits *obs.Counter
-	cTuples        *obs.Counter
-	cStates        *obs.Counter
-	cSteps         *obs.Counter
-	cJoinParts     *obs.Counter
-	gIntern        *obs.Gauge
+	cMemoHits   *obs.Counter
+	cMemoMisses *obs.Counter
+	cTuples     *obs.Counter
+	cStates     *obs.Counter
+	cSteps      *obs.Counter
+	cJoinParts  *obs.Counter
+	gIntern     *obs.Gauge
 }
 
 // MaxSize is the largest τ(R_S) the evaluator reports, 2^53. Sizes of
@@ -108,20 +99,6 @@ func (e *SizeError) Error() string {
 // Is matches SizeErrors against the guard.ErrBudgetExceeded sentinel.
 func (e *SizeError) Is(target error) bool { return target == guard.ErrBudgetExceeded }
 
-// memoShardCount is the number of memo stripes. A power of two well
-// above typical core counts keeps both lock contention and the latch
-// maps' per-shard footprint small.
-const memoShardCount = 64
-
-// memoShard is one stripe of the evaluator's memo: the entries of the
-// subsets hashing to this stripe plus the in-flight latches for subsets
-// whose entries are being produced.
-type memoShard struct {
-	mu       sync.RWMutex
-	entries  map[hypergraph.Set]memoEntry
-	inflight map[hypergraph.Set]chan struct{}
-}
-
 // memoEntry is what the evaluator knows about one subset S. A missing
 // entry reads as the zero value, which is not built.
 type memoEntry struct {
@@ -136,25 +113,13 @@ type memoEntry struct {
 	charged bool
 }
 
-// shard returns the stripe responsible for subset s. The bitmask is
-// mixed with a Fibonacci-hashing constant so that the dense low-bit
-// subsets the DPs enumerate spread over all stripes.
-func (e *Evaluator) shard(s hypergraph.Set) *memoShard {
-	h := uint64(s) * 0x9E3779B97F4A7C15
-	return &e.shards[h>>(64-6)] // top 6 bits index 64 shards
-}
-
 // NewEvaluator creates an evaluator for the database.
 func NewEvaluator(db *Database) *Evaluator {
-	e := &Evaluator{db: db}
+	e := &Evaluator{db: db, memo: make(map[hypergraph.Set]memoEntry)}
 	for i, r := range db.Relations() {
 		if r.Empty() {
 			e.empty = e.empty.Add(i)
 		}
-	}
-	for i := range e.shards {
-		e.shards[i].entries = make(map[hypergraph.Set]memoEntry)
-		e.shards[i].inflight = make(map[hypergraph.Set]chan struct{})
 	}
 	return e
 }
@@ -174,10 +139,8 @@ func (e *Evaluator) Guard() *guard.Guard { return e.guard }
 // ledger), `eval.states` and `eval.steps` — the same quantities, charged
 // at the same points, as guard.Guard's budgets, so the metrics reconcile
 // exactly with guard.Snapshot() — and requests count into
-// `eval.memo.hits`/`eval.memo.misses`, with `eval.inflight.waits`
-// counting the times a goroutine blocked on another's in-flight work on
-// the same subset instead of duplicating it. The dictionary-encoded
-// kernel reports through two further handles:
+// `eval.memo.hits`/`eval.memo.misses`. The dictionary-encoded kernel
+// reports through two further handles:
 // `join.partitions` accumulates, as each set is charged, the
 // hash-partition count of the join that built it when that join took
 // the parallel path (sequential joins, sized-only Cartesian products and
@@ -189,7 +152,6 @@ func (e *Evaluator) WithRecorder(rec *obs.Recorder) *Evaluator {
 	e.rec = rec
 	e.cMemoHits = rec.Counter(obs.MetricEvalMemoHits)
 	e.cMemoMisses = rec.Counter(obs.MetricEvalMemoMisses)
-	e.cInflightWaits = rec.Counter(obs.MetricEvalInflightWaits)
 	e.cTuples = rec.Counter(obs.MetricEvalTuples)
 	e.cStates = rec.Counter(obs.MetricEvalStates)
 	e.cSteps = rec.Counter(obs.MetricEvalSteps)
@@ -210,34 +172,26 @@ func (e *Evaluator) Database() *Database { return e.db }
 // which R_S is undefined in the model. The charge is the same as
 // Size's. A disconnected s's Cartesian product is built from its
 // components' relations on the first Eval that asks for it and kept in
-// s's entry; racing first Evals may each build it, and all return the
-// one kept first.
-//
-// Concurrent calls on the same subset produce its entry once: the first
-// caller to miss installs an in-flight latch and does the work, later
-// callers block on the latch and then take the memo hit. If the working
-// goroutine aborts (guard trip) after memoizing, waiters still get the
-// result free of charge — exactly what a sequential re-Eval after a trip
-// would see.
+// s's entry.
 func (e *Evaluator) Eval(s hypergraph.Set) *relation.Relation {
 	en := e.request(s)
 	if en.rel != nil {
 		return en.rel
 	}
-	var r *relation.Relation
 	if en.size == 0 {
-		r = e.emptyRel(s)
+		en.rel = e.emptyRel(s)
 	} else {
 		// Sizing s built every component, none of them empty.
 		for _, c := range e.db.Graph().Components(s) {
-			if cr := e.built(c).rel; r == nil {
-				r = cr
+			if cr := e.built(c).rel; en.rel == nil {
+				en.rel = cr
 			} else {
-				r = relation.Join(r, cr)
+				en.rel = relation.Join(en.rel, cr)
 			}
 		}
 	}
-	return e.shard(s).keep(s, r)
+	e.memo[s] = en
+	return en.rel
 }
 
 // Size returns τ(R_S) for the subset s: the number of tuples in the join
@@ -257,19 +211,17 @@ func (e *Evaluator) request(s hypergraph.Set) memoEntry {
 		// and DP hot loops, and this is what keeps them interruptible.
 		guard.Must(e.guard.Tick())
 	}
-	sh := e.shard(s)
-	en, latch := e.acquire(sh, s, true)
-	if latch == nil {
+	en := e.memo[s]
+	if en.charged {
 		e.cMemoHits.Inc()
 		return en
 	}
-	defer sh.release(s, latch)
 	e.cMemoMisses.Inc()
 	first := s.First()
 	if s == hypergraph.Singleton(first) {
 		en = e.base(first)
 		en.charged = true
-		sh.store(s, en)
+		e.memo[s] = en
 		return en
 	}
 	rest := e.request(s.Remove(first))
@@ -284,7 +236,7 @@ func (e *Evaluator) request(s hypergraph.Set) memoEntry {
 	// Memoize before charging: the work is done either way, and a warm
 	// memo lets a degradation fallback reuse it free of charge.
 	en.charged = true
-	sh.store(s, en)
+	e.memo[s] = en
 	// Count before the charge can abort, mirroring the guard's ledger
 	// semantics: a charge that trips is still spent.
 	e.cTuples.Add(int64(en.size))
@@ -308,16 +260,13 @@ func (e *Evaluator) built(s hypergraph.Set) memoEntry {
 	if first := s.First(); s == hypergraph.Singleton(first) {
 		return e.base(first)
 	}
-	sh := e.shard(s)
-	en, latch := e.acquire(sh, s, false)
-	if latch == nil {
+	if en := e.memo[s]; en.built {
 		return en
 	}
-	defer sh.release(s, latch)
 	// A helper build charges nothing, so it polls the context itself.
 	guard.Must(e.guard.Err())
-	en = e.build(s, nil)
-	sh.store(s, en)
+	en := e.build(s, nil)
+	e.memo[s] = en
 	return en
 }
 
@@ -386,103 +335,6 @@ func mulSize(a, b int) int {
 	return int(lo)
 }
 
-// acquire returns s's entry when it is built and, if charged is set,
-// charged. Otherwise it takes s's in-flight latch and returns it with the
-// entry as it stands; the caller stores the entry it needs and releases
-// the latch. While another goroutine holds the latch, acquire counts an
-// in-flight wait, waits, and looks again.
-func (e *Evaluator) acquire(sh *memoShard, s hypergraph.Set, charged bool) (memoEntry, chan struct{}) {
-	for {
-		sh.mu.RLock()
-		en := sh.entries[s]
-		sh.mu.RUnlock()
-		if en.charged || en.built && !charged {
-			return en, nil
-		}
-		sh.mu.Lock()
-		if en = sh.entries[s]; en.charged || en.built && !charged {
-			sh.mu.Unlock()
-			return en, nil
-		}
-		if latch, ok := sh.inflight[s]; ok {
-			sh.mu.Unlock()
-			e.cInflightWaits.Inc()
-			// The holder releases the latch on every path — success,
-			// guard abort, even a join panic — so this cannot block
-			// forever. Loop back: the memo usually holds the entry now;
-			// if the holder died first, this caller takes over the work.
-			<-latch
-			continue
-		}
-		latch := make(chan struct{})
-		sh.inflight[s] = latch
-		sh.mu.Unlock()
-		return en, latch
-	}
-}
-
-// store memoizes en as s's entry.
-func (sh *memoShard) store(s hypergraph.Set, en memoEntry) {
-	sh.mu.Lock()
-	sh.entries[s] = en
-	sh.mu.Unlock()
-}
-
-// keep stores r as the relation of s's entry unless the entry already
-// holds one, and returns the relation the entry holds.
-func (sh *memoShard) keep(s hypergraph.Set, r *relation.Relation) *relation.Relation {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	en := sh.entries[s]
-	if en.rel == nil {
-		en.rel = r
-		sh.entries[s] = en
-	}
-	return en.rel
-}
-
-// release drops s's in-flight latch and wakes its waiters.
-func (sh *memoShard) release(s hypergraph.Set, latch chan struct{}) {
-	sh.mu.Lock()
-	delete(sh.inflight, s)
-	sh.mu.Unlock()
-	close(latch)
-}
-
-// memoGet returns the memoized relation for the connected subset s, if
-// present, without counting memo traffic — the prewarmer's read path.
-func (e *Evaluator) memoGet(s hypergraph.Set) (*relation.Relation, bool) {
-	sh := e.shard(s)
-	sh.mu.RLock()
-	en := sh.entries[s]
-	sh.mu.RUnlock()
-	return en.rel, en.rel != nil
-}
-
-// memoPut stores a materialized and, when governed, charged relation for
-// s — the prewarmer's write path. Concurrent writers of distinct subsets
-// land on distinct shard locks.
-func (e *Evaluator) memoPut(s hypergraph.Set, r *relation.Relation) {
-	e.shard(s).store(s, memoEntry{rel: r, size: r.Size(), built: true, charged: true})
-}
-
-// memoRange calls fn for every memo entry until fn returns false. It
-// visits shard by shard under the read locks; tests and diagnostics use
-// it, the hot paths never do.
-func (e *Evaluator) memoRange(fn func(hypergraph.Set, memoEntry) bool) {
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		for s, en := range sh.entries {
-			if !fn(s, en) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // JoinSize returns τ(R_a ⋈ R_b) for disjoint subsets a and b — which by
 // definition equals τ(R_{a∪b}).
 func (e *Evaluator) JoinSize(a, b hypergraph.Set) int {
@@ -500,13 +352,4 @@ func (e *Evaluator) ResultNonEmpty() bool { return e.Size(e.db.All()) > 0 }
 
 // MemoLen reports how many subsets have memo entries, helper builds
 // included, for tests and instrumentation.
-func (e *Evaluator) MemoLen() int {
-	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (e *Evaluator) MemoLen() int { return len(e.memo) }

@@ -17,22 +17,24 @@ import (
 // production Evaluator to its sizes, relations and guard ledger.
 type ReferenceEvaluator struct {
 	db     *Database
-	shards [memoShardCount]refShard
+	shards [refShardCount]refShard
 	guard  *guard.Guard
 	rec    *obs.Recorder
 
 	// Metric handles resolved once at attach time so the hot path pays
 	// an atomic add, not a registry lookup; all are the nil no-op
 	// handles when no recorder is attached.
-	cMemoHits      *obs.Counter
-	cMemoMisses    *obs.Counter
-	cInflightWaits *obs.Counter
-	cTuples        *obs.Counter
-	cStates        *obs.Counter
-	cSteps         *obs.Counter
-	cJoinParts     *obs.Counter
-	gIntern        *obs.Gauge
+	cMemoHits   *obs.Counter
+	cMemoMisses *obs.Counter
+	cTuples     *obs.Counter
+	cStates     *obs.Counter
+	cSteps      *obs.Counter
+	cJoinParts  *obs.Counter
+	gIntern     *obs.Gauge
 }
+
+// refShardCount is the number of reference memo stripes.
+const refShardCount = 64
 
 // refShard is one stripe of the reference memo.
 type refShard struct {
@@ -72,7 +74,6 @@ func (e *ReferenceEvaluator) WithRecorder(rec *obs.Recorder) *ReferenceEvaluator
 	e.rec = rec
 	e.cMemoHits = rec.Counter(obs.MetricEvalMemoHits)
 	e.cMemoMisses = rec.Counter(obs.MetricEvalMemoMisses)
-	e.cInflightWaits = rec.Counter(obs.MetricEvalInflightWaits)
 	e.cTuples = rec.Counter(obs.MetricEvalTuples)
 	e.cStates = rec.Counter(obs.MetricEvalStates)
 	e.cSteps = rec.Counter(obs.MetricEvalSteps)
@@ -116,7 +117,6 @@ func (e *ReferenceEvaluator) Eval(s hypergraph.Set) *relation.Relation {
 		}
 		if latch, ok := sh.inflight[s]; ok {
 			sh.mu.Unlock()
-			e.cInflightWaits.Inc()
 			// The computer releases the latch on every path — success,
 			// guard abort, even a join panic — so this cannot block
 			// forever. Loop back: the memo usually holds the result now;

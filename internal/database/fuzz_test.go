@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multijoin/internal/guard"
+	"multijoin/internal/hypergraph"
 )
 
 // FuzzDecodeJSON feeds arbitrary bytes to the database decoder.
@@ -101,11 +102,10 @@ func FuzzLoadCSV(f *testing.F) {
 // versus reject and, for accepted input, on names, schemas, row order
 // and dictionary order; the only disagreement allowed is one of the
 // three new rejections, which newRejection recognizes independently.
-// Any database the decoder accepts must then evaluate under a resource
-// guard without panicking — the only permitted failures are typed
-// governance trips. This is the end-to-end check that the parallel
-// prewarmer's worker panic boundary holds for arbitrary loader-accepted
-// inputs.
+// Any database the decoder accepts must then have every connected
+// subset sized on a guarded evaluator without panicking — the only
+// permitted failures are typed governance trips, which guard.Trap
+// returns as errors.
 func FuzzLoadJSON(f *testing.F) {
 	seed, err := os.ReadFile("testdata/db.json")
 	if err != nil {
@@ -144,8 +144,20 @@ func FuzzLoadJSON(f *testing.F) {
 			return // keep the evaluation cheap; the loader already validated
 		}
 		g := guard.New(nil, guard.Limits{MaxTuples: 1 << 14, MaxStates: 1 << 10})
-		if _, err := PrewarmConnectedGuarded(db, 2, g); err != nil && !guard.Tripped(err) {
-			t.Fatalf("guarded prewarm of a loader-accepted database failed non-gracefully: %v", err)
+		if err := sizeConnected(NewEvaluator(db).WithGuard(g)); err != nil && !guard.Tripped(err) {
+			t.Fatalf("guarded evaluation of a loader-accepted database failed non-gracefully: %v", err)
 		}
 	})
+}
+
+// sizeConnected sizes every connected subset of ev's scheme, trapping a
+// guard abort into the returned error.
+func sizeConnected(ev *Evaluator) (err error) {
+	defer guard.Trap(&err)
+	db := ev.Database()
+	db.Graph().ConnectedSubsetsOf(db.All(), func(s hypergraph.Set) bool {
+		ev.Size(s)
+		return true
+	})
+	return nil
 }

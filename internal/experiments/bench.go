@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"strings"
 	"time"
 
 	"multijoin/internal/core"
@@ -19,12 +18,11 @@ import (
 )
 
 // The bench pipeline: a fixed corpus (the paper's five examples plus
-// deterministic generated shapes) is prewarmed and analyzed under a
-// fresh recorder per case, and the timings and engine counters are
-// emitted as schema-versioned JSON (BENCH_joinopt.json). CI runs this on
-// every push and fails if the report does not validate, so performance
-// numbers stay machine-readable and the observability plumbing stays
-// honest.
+// deterministic generated shapes) is analyzed under a fresh recorder per
+// case, and the timings and engine counters are emitted as
+// schema-versioned JSON (BENCH_joinopt.json). CI runs this on every push
+// and fails if the report does not validate, so performance numbers stay
+// machine-readable and the observability plumbing stays honest.
 
 // BenchCase is one corpus entry's measured result.
 type BenchCase struct {
@@ -34,12 +32,7 @@ type BenchCase struct {
 	Relations int `json:"relations"`
 	// Tau maps each searched subspace to its optimum τ.
 	Tau map[string]int `json:"tau"`
-	// PrewarmNS and AnalyzeNS split the case's wall time between the
-	// parallel memo prewarm and the analysis proper.
-	PrewarmNS int64 `json:"prewarmNs"`
-	// AnalyzeNS is the analysis phase's wall time.
-	AnalyzeNS int64 `json:"analyzeNs"`
-	// WallNS is the case's total wall time.
+	// WallNS is the case's analysis wall time.
 	WallNS int64 `json:"wallNs"`
 	// Tuples and States are the engine's τ spend and evaluated/DP state
 	// count, from the recorder's counters.
@@ -73,30 +66,6 @@ type KernelBench struct {
 	Partitions int `json:"partitions"`
 }
 
-// AnalysisBench is one sequential-versus-parallel analyze measurement:
-// the same prewarmed evaluator runs the four subspace DPs one at a time
-// and fanned out, and the section records both walls. The corpus uses
-// cliques, where the full-space and no-CP DPs enumerate identical split
-// sets and so dominate equally — the shape on which the fan-out's
-// benefit is largest and most stable.
-type AnalysisBench struct {
-	// Name identifies the corpus entry, e.g. "clique10".
-	Name string `json:"name"`
-	// Relations is the database's relation count.
-	Relations int `json:"relations"`
-	// SeqNS is the summed wall of the four `phase.optimize:<space>`
-	// spans of a sequential analyze (best of the measurement rounds).
-	SeqNS int64 `json:"seqNs"`
-	// ParNS is the `analyze.parallel.wall` span of a parallel analyze
-	// over the same warm memo (best of the measurement rounds).
-	ParNS int64 `json:"parNs"`
-	// Speedup is SeqNS / ParNS.
-	Speedup float64 `json:"speedup"`
-	// Match records that both modes returned identical per-space τ
-	// optima — the determinism contract of the parallel pipeline.
-	Match bool `json:"match"`
-}
-
 // BenchTotals aggregates the corpus.
 type BenchTotals struct {
 	// Cases is the number of corpus entries measured.
@@ -113,15 +82,12 @@ type BenchTotals struct {
 type BenchReport struct {
 	// Schema is obs.BenchSchema.
 	Schema string `json:"schema"`
-	// GoMaxProcs records the parallelism the prewarm ran with.
+	// GoMaxProcs records the GOMAXPROCS the bench ran at.
 	GoMaxProcs int `json:"goMaxProcs"`
 	// Cases lists one measurement per corpus entry, in run order.
 	Cases []BenchCase `json:"cases"`
 	// Kernel lists the join-kernel micro-benchmarks.
 	Kernel []KernelBench `json:"kernel"`
-	// Analysis compares sequential against parallel four-subspace
-	// analyze wall time on prewarmed databases.
-	Analysis []AnalysisBench `json:"analysis"`
 	// Serve is the service-level load measurement (schema v4).
 	Serve *ServeBench `json:"serve"`
 	// Planning is the estimate-driven planning measurement (schema v6):
@@ -162,16 +128,13 @@ func benchCorpus() []benchEntry {
 	}
 }
 
-// RunBench measures the whole corpus with workers parallel prewarm
-// goroutines (0 means GOMAXPROCS) and returns the report. Progress lines
-// go to w. The context bounds the serve section's load run and drain.
-func RunBench(ctx context.Context, w io.Writer, workers int) (*BenchReport, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	rep := &BenchReport{Schema: obs.BenchSchema, GoMaxProcs: workers}
+// RunBench measures the whole corpus and returns the report. Progress
+// lines go to w. The context bounds the serve section's load run and
+// drain.
+func RunBench(ctx context.Context, w io.Writer) (*BenchReport, error) {
+	rep := &BenchReport{Schema: obs.BenchSchema, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, entry := range benchCorpus() {
-		c, err := benchOne(entry.name, entry.db, workers)
+		c, err := benchOne(entry.name, entry.db)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: %w", entry.name, err)
 		}
@@ -190,9 +153,6 @@ func RunBench(ctx context.Context, w io.Writer, workers int) (*BenchReport, erro
 			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp, k.Partitions)
 	}
 	var err error
-	if rep.Analysis, err = benchAnalysis(w); err != nil {
-		return nil, err
-	}
 	if rep.Serve, err = benchServe(ctx, w); err != nil {
 		return nil, err
 	}
@@ -203,95 +163,6 @@ func RunBench(ctx context.Context, w io.Writer, workers int) (*BenchReport, erro
 		return nil, err
 	}
 	return rep, nil
-}
-
-// analysisCorpus returns the databases the analysis section measures:
-// cliques large enough that the subset DPs, not the (excluded) prewarm,
-// dominate wall time.
-func analysisCorpus() []benchEntry {
-	mk := func(name string, n int) benchEntry {
-		rng := rand.New(rand.NewSource(2))
-		return benchEntry{name, gen.Uniform(rng, gen.Schemes(gen.Clique, n), 6, 4)}
-	}
-	return []benchEntry{mk("clique9", 9), mk("clique10", 10)}
-}
-
-// analysisRounds is how many times each mode is measured; the section
-// reports the best round, damping scheduler noise the way testing.B's
-// -benchtime repetitions do.
-const analysisRounds = 3
-
-// benchAnalysis measures the sequential-versus-parallel analyze walls
-// over the analysis corpus.
-func benchAnalysis(w io.Writer) ([]AnalysisBench, error) {
-	out := make([]AnalysisBench, 0, len(analysisCorpus()))
-	for _, entry := range analysisCorpus() {
-		a, err := benchAnalysisOne(entry.name, entry.db)
-		if err != nil {
-			return nil, fmt.Errorf("bench analysis %s: %w", entry.name, err)
-		}
-		fmt.Fprintf(w, "analysis %-10s seq=%-10s par=%-10s speedup=%.2f match=%v\n",
-			a.Name, time.Duration(a.SeqNS).Round(time.Microsecond),
-			time.Duration(a.ParNS).Round(time.Microsecond), a.Speedup, a.Match)
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// benchAnalysisOne prewarms one database, then repeatedly analyzes it
-// sequentially and in parallel over the same warm memo, reading each
-// mode's optimize wall from the recorder's timers so the shared
-// materialize/conditions phases do not dilute the comparison. It
-// returns the best wall per mode and whether every round's per-space
-// optima matched.
-func benchAnalysisOne(name string, db *database.Database) (AnalysisBench, error) {
-	warm := database.PrewarmConnected(db, 0)
-	a := AnalysisBench{Name: name, Relations: db.Len(), Match: true}
-	for round := 0; round < analysisRounds; round++ {
-		recSeq := obs.NewRecorder()
-		anSeq, err := core.AnalyzeEvaluatorSequential(warm.WithRecorder(recSeq))
-		if err != nil {
-			return AnalysisBench{}, err
-		}
-		var seq int64
-		for nm, ts := range recSeq.Snapshot().Timers {
-			if strings.HasPrefix(nm, "phase.optimize:") {
-				seq += ts.TotalNS
-			}
-		}
-		recPar := obs.NewRecorder()
-		anPar, err := core.AnalyzeEvaluator(warm.WithRecorder(recPar))
-		if err != nil {
-			return AnalysisBench{}, err
-		}
-		par := recPar.Snapshot().Timers["analyze.parallel.wall"].TotalNS
-		if a.SeqNS == 0 || seq < a.SeqNS {
-			a.SeqNS = seq
-		}
-		if a.ParNS == 0 || par < a.ParNS {
-			a.ParNS = par
-		}
-		a.Match = a.Match && analysesAgree(anSeq, anPar)
-	}
-	if a.ParNS > 0 {
-		a.Speedup = float64(a.SeqNS) / float64(a.ParNS)
-	}
-	return a, nil
-}
-
-// analysesAgree reports whether two analyses carry identical per-space
-// optimization outcomes.
-func analysesAgree(a, b *core.Analysis) bool {
-	if len(a.Results) != len(b.Results) {
-		return false
-	}
-	for i := range a.Results {
-		ra, rb := a.Results[i], b.Results[i]
-		if ra.Space != rb.Space || ra.Cost != rb.Cost || !ra.Strategy.Equal(rb.Strategy) {
-			return false
-		}
-	}
-	return true
 }
 
 // kernelRel builds a deterministic relation for the kernel section.
@@ -370,30 +241,23 @@ func benchKernel() []KernelBench {
 	}
 }
 
-// benchOne prewarms and analyzes one database under a fresh recorder and
-// collapses the recorder's counters into the case record.
-func benchOne(name string, db *database.Database, workers int) (BenchCase, error) {
+// benchOne analyzes one database under a fresh recorder and collapses
+// the recorder's counters into the case record.
+func benchOne(name string, db *database.Database) (BenchCase, error) {
 	rec := obs.NewRecorder()
 	start := time.Now()
-	ev, err := database.PrewarmConnectedObserved(db, workers, nil, rec)
+	an, err := core.AnalyzeEvaluator(database.NewEvaluator(db).WithRecorder(rec))
 	if err != nil {
 		return BenchCase{}, err
 	}
-	prewarmed := time.Now()
-	an, err := core.AnalyzeEvaluator(ev)
-	if err != nil {
-		return BenchCase{}, err
-	}
-	done := time.Now()
+	wall := time.Since(start)
 
 	snap := rec.Snapshot()
 	c := BenchCase{
 		Name:      name,
 		Relations: db.Len(),
 		Tau:       map[string]int{},
-		PrewarmNS: prewarmed.Sub(start).Nanoseconds(),
-		AnalyzeNS: done.Sub(prewarmed).Nanoseconds(),
-		WallNS:    done.Sub(start).Nanoseconds(),
+		WallNS:    wall.Nanoseconds(),
 		Tuples:    snap.Counters["eval.tuples"],
 		States:    snap.Counters["eval.states"] + snap.Counters["dp.states"],
 		Counters:  snap.Counters,
@@ -482,31 +346,6 @@ func ValidateBench(rep *BenchReport) error {
 	}
 	if !seenPartitioned {
 		return fmt.Errorf("bench: no kernel case exercised the partitioned parallel join")
-	}
-	if len(rep.Analysis) == 0 {
-		return fmt.Errorf("bench: no analysis section")
-	}
-	best := 0.0
-	for _, a := range rep.Analysis {
-		if a.Name == "" {
-			return fmt.Errorf("bench: analysis entry with empty name")
-		}
-		if a.SeqNS <= 0 || a.ParNS <= 0 {
-			return fmt.Errorf("bench: analysis %s has non-positive wall times", a.Name)
-		}
-		if !a.Match {
-			return fmt.Errorf("bench: analysis %s: parallel and sequential optima diverge", a.Name)
-		}
-		if a.Speedup > best {
-			best = a.Speedup
-		}
-	}
-	// The fan-out contract only binds on machines with real parallelism:
-	// with 4+ processors the parallel four-space analyze must take at
-	// most 0.6× the sequential wall on the best-scaling corpus entry.
-	if rep.GoMaxProcs >= 4 && best < 1/0.6 {
-		return fmt.Errorf("bench: parallel analyze speedup %.2f× on %d procs, want ≥ %.2f×",
-			best, rep.GoMaxProcs, 1/0.6)
 	}
 	if err := validateServeBench(rep.Serve); err != nil {
 		return err

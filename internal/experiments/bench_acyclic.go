@@ -144,8 +144,8 @@ func benchAcyclic(w io.Writer) (*AcyclicBench, error) {
 // differentially checks the fast path's result against the kernel's.
 func benchAcyclicOne(name string, db *database.Database) (AcyclicCase, error) {
 	start := time.Now()
-	warm := database.PrewarmConnected(db, 0)
-	an, err := core.AnalyzeEvaluatorSequential(warm)
+	exact := database.NewEvaluator(db)
+	an, err := core.AnalyzeEvaluator(exact)
 	if err != nil {
 		return AcyclicCase{}, err
 	}
@@ -166,7 +166,7 @@ func benchAcyclicOne(name string, db *database.Database) (AcyclicCase, error) {
 	// each subspace contributes its τ-optimal strategy's max step cost.
 	for _, res := range an.Results {
 		max := 0
-		for _, sc := range res.Strategy.StepCosts(warm) {
+		for _, sc := range res.Strategy.StepCosts(exact) {
 			if sc > max {
 				max = sc
 			}
@@ -185,7 +185,7 @@ func benchAcyclicOne(name string, db *database.Database) (AcyclicCase, error) {
 	if err != nil {
 		return AcyclicCase{}, err
 	}
-	c.Match = ev.Result.Equal(warm.Result())
+	c.Match = ev.Result.Equal(exact.Result())
 	c.WallNS = time.Since(start).Nanoseconds()
 	return c, nil
 }

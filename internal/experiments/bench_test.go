@@ -15,7 +15,7 @@ import (
 // the pipeline's τ numbers must agree with corpus_test.go's regression
 // net, or the bench is measuring a different engine than the tests.
 func TestBenchReportValidatesAndPinsTau(t *testing.T) {
-	rep, err := RunBench(context.Background(), io.Discard, 2)
+	rep, err := RunBench(context.Background(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestBenchReportValidatesAndPinsTau(t *testing.T) {
 // TestBenchJSONRoundTrip: the written report must decode and validate —
 // the exact gate the CI bench job applies to the artifact.
 func TestBenchJSONRoundTrip(t *testing.T) {
-	rep, err := RunBench(context.Background(), io.Discard, 1)
+	rep, err := RunBench(context.Background(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestBenchDecodeRejectsBadDocuments(t *testing.T) {
 // TestBenchDeterministicTau: the corpus is seeded, so τ and state
 // counts must be identical across runs (timings of course differ).
 func TestBenchDeterministicTau(t *testing.T) {
-	a, err := RunBench(context.Background(), io.Discard, 4)
+	a, err := RunBench(context.Background(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBench(context.Background(), io.Discard, 1)
+	b, err := RunBench(context.Background(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBenchDeterministicTau(t *testing.T) {
 // TestBenchKernelSection pins the v2 kernel micro-benchmark section:
 // present, validated, and actually exercising both join paths.
 func TestBenchKernelSection(t *testing.T) {
-	rep, err := RunBench(context.Background(), io.Discard, 2)
+	rep, err := RunBench(context.Background(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,8 @@
 //
 // All methods are safe on a nil *Guard (they become no-ops), so
 // ungoverned call paths keep working unchanged, and safe for concurrent
-// use, so the parallel prewarmer's workers may share one Guard.
+// use, so joinserve's admission can read the Snapshot of a guard whose
+// request is still charging it on another goroutine.
 //
 // The package also provides the panic machinery the engine uses to
 // abort out of deep recursion and enumeration callbacks without
@@ -60,8 +61,8 @@ type Limits struct {
 	MaxSteps int64
 	// FaultStep, when positive, deterministically fails every join step
 	// numbered FaultStep or later with FaultErr — the hook that makes
-	// the abort paths themselves testable (e.g. cancelling evaluation
-	// at exactly the k-th join of a prewarm level).
+	// the abort paths themselves testable (e.g. failing evaluation at
+	// exactly the k-th join).
 	FaultStep int64
 	// FaultErr overrides the error injected at FaultStep; nil selects
 	// ErrFaultInjected.
@@ -201,7 +202,7 @@ type Usage struct {
 // Snapshot is an atomic copy of a guard's ledger: the phase label,
 // every spent/limit pair, and the context deadline, all read under one
 // lock acquisition. Use it instead of separate Spent()+Phase() calls
-// when workers may still be charging concurrently — the pair can tear
+// when another goroutine may still be charging — the pair can tear
 // (spend from one phase, label from the next), the snapshot cannot.
 type Snapshot struct {
 	// Phase is the phase label current when the snapshot was taken.
@@ -250,7 +251,7 @@ func (g *Guard) Snapshot() Snapshot {
 	if g.ctx != nil {
 		// The context is immutable after New, so reading its deadline
 		// under g.mu keeps the whole snapshot tear-free even while
-		// workers trip budgets concurrently.
+		// another goroutine trips budgets concurrently.
 		snap.Deadline, snap.HasDeadline = g.ctx.Deadline()
 	}
 	return snap

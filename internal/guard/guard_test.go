@@ -363,7 +363,8 @@ func TestRecoveredConvertsPanicValues(t *testing.T) {
 	}
 
 	// Any other panic becomes a *PanicError carrying value and stack —
-	// the goroutine-boundary contract the prewarm workers rely on.
+	// the goroutine-boundary contract the partitioned join's workers
+	// and serve's request handlers rely on.
 	func() {
 		defer func() { got = Recovered(recover()) }()
 		panic("worker invariant broken")

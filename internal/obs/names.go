@@ -17,23 +17,13 @@ package obs
 
 // Evaluator and join-kernel metrics (internal/database, internal/relation).
 const (
-	MetricEvalMemoHits      = "eval.memo.hits"
-	MetricEvalMemoMisses    = "eval.memo.misses"
-	MetricEvalInflightWaits = "eval.inflight.waits"
-	MetricEvalTuples        = "eval.tuples"
-	MetricEvalStates        = "eval.states"
-	MetricEvalSteps         = "eval.steps"
-	MetricEvalInternValues  = "eval.intern.values"
-	MetricJoinPartitions    = "join.partitions"
-)
-
-// Guarded parallel prewarm metrics (internal/database).
-const (
-	MetricPrewarmWorkers    = "prewarm.workers"
-	MetricPrewarmJobs       = "prewarm.jobs"
-	MetricPrewarmLevels     = "prewarm.levels"
-	MetricPrewarmLevelWall  = "prewarm.level"
-	MetricPrewarmWorkerBusy = "prewarm.worker.busy"
+	MetricEvalMemoHits     = "eval.memo.hits"
+	MetricEvalMemoMisses   = "eval.memo.misses"
+	MetricEvalTuples       = "eval.tuples"
+	MetricEvalStates       = "eval.states"
+	MetricEvalSteps        = "eval.steps"
+	MetricEvalInternValues = "eval.intern.values"
+	MetricJoinPartitions   = "join.partitions"
 )
 
 // Optimizer metrics (internal/optimizer). The per-subspace dp.<space>.*
@@ -88,8 +78,14 @@ const (
 	MetricVerifyThm3Strategies  = "verify.thm3.strategies"
 	MetricVerifyThm3Wall        = "verify.thm3.wall"
 	MetricVerifyCounterexamples = "verify.counterexamples"
-	MetricAnalyzeParallelWall   = "analyze.parallel.wall"
 )
+
+// MetricAnalyzeParallelWall named the wall timer of the analysis's
+// four-subspace fan-out.
+//
+// Deprecated: the subspaces run one at a time and nothing records this
+// timer; a snapshot reads it as zero.
+const MetricAnalyzeParallelWall = "analyze.parallel.wall"
 
 // Acyclic fast-path metrics (internal/semijoin, internal/core): the
 // governed Bernstein–Chiu reducer and the Yannakakis join phase mirror
@@ -195,10 +191,6 @@ func MetricTenantShed(class string) string { return "serve.tenant." + class + ".
 
 // SpanPhase names a phase span, phase:<name>.
 func SpanPhase(phase string) string { return "phase:" + phase }
-
-// SpanOptimizeSpace names one subspace's optimization span inside the
-// parallel fan-out, optimize:<space>.
-func SpanOptimizeSpace(space string) string { return "optimize:" + space }
 
 // SpanPlan names the estimate-costed planning span enclosing the
 // catalog build and the model searches.

@@ -15,8 +15,8 @@
 // Like guard.Guard, every method is safe on a nil *Recorder (and on the
 // nil *Counter/*Gauge/*Timer handles a nil recorder returns), so
 // uninstrumented call paths cost a nil check and nothing else. All
-// types are safe for concurrent use: the parallel prewarmer's workers
-// may share one Recorder.
+// types are safe for concurrent use: joinserve's concurrent requests
+// share the server's Recorder.
 //
 // The package is dependency-free (standard library only) and does not
 // import any other engine package, so every layer — guard, database,
@@ -169,7 +169,7 @@ type Event struct {
 	// or a step's rendered join expression.
 	Name string `json:"name,omitempty"`
 	// Subset is the cardinality |D′| of the subset the event concerns
-	// (a prewarm level, a materialized state, a step's output scheme).
+	// (a materialized state, a step's output scheme).
 	Subset int `json:"subset,omitempty"`
 	// Tuples is the event's result size — for "step" events the τ
 	// contribution of the join.

@@ -32,8 +32,10 @@ const (
 	// speedup, and per-subspace regret under the uniform and histogram
 	// models plus greedy early termination); v7 added the acyclic
 	// section (Yannakakis fast-path τ and max intermediate against the
-	// best binary-join subspace, differential-matched per case).
-	BenchSchema = "multijoin/bench/v7"
+	// best binary-join subspace, differential-matched per case); v8
+	// dropped the analysis section and the cases' prewarmNs and
+	// analyzeNs with the analyze fan-out and the prewarm they measured.
+	BenchSchema = "multijoin/bench/v8"
 )
 
 // TimerStats is a timer's aggregate in a snapshot.

@@ -49,8 +49,8 @@ type SpanRecord struct {
 }
 
 // Span is an in-flight trace span. The nil *Span is a valid no-op —
-// every method, including StartChild, returns without touching anything
-// — so uninstrumented call paths cost a nil check. A Span is safe for
+// every method returns without touching anything — so uninstrumented
+// call paths cost a nil check. A Span is safe for
 // concurrent use, though typically owned by one goroutine.
 type Span struct {
 	r     *Recorder
@@ -74,35 +74,10 @@ func (r *Recorder) StartSpan(name string) *Span {
 	if n := len(r.openSpans); n > 0 {
 		parent = r.openSpans[n-1].rec.ID
 	}
-	sp := r.newSpanLocked(name, parent, at)
+	r.spanSeq++
+	sp := &Span{r: r, rec: SpanRecord{ID: r.spanSeq, Parent: parent, Name: name, StartNS: at}}
 	r.openSpans = append(r.openSpans, sp)
 	return sp
-}
-
-// StartChild opens a span explicitly parented to sp, bypassing the
-// recorder's open-span stack — the form concurrent fan-outs use so
-// racing siblings cannot adopt one another. On a nil span it returns
-// the nil no-op span.
-func (sp *Span) StartChild(name string) *Span {
-	if sp == nil || sp.r == nil {
-		return nil
-	}
-	r := sp.r
-	at := time.Since(r.start).Nanoseconds()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.newSpanLocked(name, sp.rec.ID, at)
-}
-
-// newSpanLocked allocates the next span ID; r.mu must be held.
-func (r *Recorder) newSpanLocked(name string, parent, startNS int64) *Span {
-	r.spanSeq++
-	return &Span{r: r, rec: SpanRecord{
-		ID:      r.spanSeq,
-		Parent:  parent,
-		Name:    name,
-		StartNS: startNS,
-	}}
 }
 
 // ID returns the span's identifier (0 for the nil span).

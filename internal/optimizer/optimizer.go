@@ -19,8 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"multijoin/internal/database"
 	"multijoin/internal/guard"
@@ -383,9 +381,7 @@ type greedyCand struct {
 
 // better reports whether c beats o under the documented tie-break
 // order: smaller join first, then linked pairs over unlinked, then the
-// lexicographically lowest (i, j). The order is total, so a parallel
-// reduction over any partition of the pair space picks the same winner
-// as the sequential scan.
+// lexicographically lowest (i, j).
 func (c greedyCand) better(o greedyCand) bool {
 	if !c.ok || !o.ok {
 		return c.ok
@@ -402,22 +398,11 @@ func (c greedyCand) better(o greedyCand) bool {
 	return c.j < o.j
 }
 
-// greedyParallelMinPairs is the pair-space size below which the probe
-// loop stays sequential: spawning workers for a handful of memoized
-// size lookups costs more than it saves.
-const greedyParallelMinPairs = 32
-
 // Greedy returns the strategy produced by the classic smallest-result
 // heuristic: repeatedly replace the pair of current results whose join is
 // smallest (ties broken toward linked pairs, then lower indexes). It is
 // the cheap baseline the paper's optimizers compete with; it inspects
 // O(n³) joins and offers no optimality guarantee.
-//
-// On pools large enough to matter the O(n²) probe loop of each round
-// fans out over row-chunks of the pair space — the evaluator is safe
-// for concurrent use, so workers probe sizes in parallel — and the
-// per-worker minima are reduced under the same total order the
-// sequential scan uses, so the chosen strategy is identical either way.
 func Greedy(ev *database.Evaluator) Result {
 	db := ev.Database()
 	gd := ev.Guard()
@@ -430,71 +415,22 @@ func Greedy(ev *database.Evaluator) Result {
 	for i := range pool {
 		pool[i] = strategy.Leaf(i)
 	}
-	// probe charges and inspects the pair (i, j) of the current pool.
-	// Counters and the guard are concurrency-safe, so workers share it.
-	probe := func(i, j int) greedyCand {
-		cStates.Inc()
-		cStatesAll.Inc() // before the charge, so a trip still reconciles
-		guard.Must(gd.ChargeStates(1))
-		a, b := pool[i].Set(), pool[j].Set()
-		return greedyCand{
-			i: i, j: j,
-			size:   float64(ev.Size(a.Union(b))),
-			linked: g.Linked(a, b),
-			ok:     true,
-		}
-	}
 	states := 0
 	for len(pool) > 1 {
-		pairs := len(pool) * (len(pool) - 1) / 2
-		states += pairs
+		states += len(pool) * (len(pool) - 1) / 2
 		var best greedyCand
-		workers := runtime.GOMAXPROCS(0)
-		if pairs < greedyParallelMinPairs || workers == 1 {
-			for i := 0; i < len(pool); i++ {
-				for j := i + 1; j < len(pool); j++ {
-					if c := probe(i, j); c.better(best) {
-						best = c
-					}
+		for i := 0; i < len(pool); i++ {
+			for j := i + 1; j < len(pool); j++ {
+				cStates.Inc()
+				cStatesAll.Inc() // before the charge, so a trip still reconciles
+				guard.Must(gd.ChargeStates(1))
+				a, b := pool[i].Set(), pool[j].Set()
+				c := greedyCand{
+					i: i, j: j,
+					size:   float64(ev.Size(a.Union(b))),
+					linked: g.Linked(a, b),
+					ok:     true,
 				}
-			}
-		} else {
-			if workers > len(pool) {
-				workers = len(pool)
-			}
-			cands := make([]greedyCand, workers)
-			errs := make([]error, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					// Panic boundary: a guard abort raised inside probe
-					// must not kill the process from a worker; it is
-					// re-raised on the caller's goroutine below.
-					defer func() {
-						if err := guard.Recovered(recover()); err != nil {
-							errs[w] = err
-						}
-					}()
-					var local greedyCand
-					// Interleaved rows balance the triangular pair
-					// space: row i holds len(pool)−i−1 pairs.
-					for i := w; i < len(pool); i += workers {
-						for j := i + 1; j < len(pool); j++ {
-							if c := probe(i, j); c.better(local) {
-								local = c
-							}
-						}
-					}
-					cands[w] = local
-				}(w)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				guard.Must(err)
-			}
-			for _, c := range cands {
 				if c.better(best) {
 					best = c
 				}

@@ -3,7 +3,6 @@ package optimizer
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"multijoin/internal/database"
@@ -295,30 +294,6 @@ func TestGreedyLinkedTieBreak(t *testing.T) {
 	if !res.Strategy.Equal(want) {
 		t.Fatalf("greedy chose %s, want the linked pair first: %s",
 			res.Strategy.Render(db), want.Render(db))
-	}
-}
-
-// TestGreedyParallelMatchesSequential pins the determinism contract of
-// the parallel probe loop: with enough pairs to cross the fan-out
-// threshold, the strategy, cost and state count must be bit-identical
-// to a GOMAXPROCS=1 run, whatever the worker interleaving.
-func TestGreedyParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 10; trial++ {
-		// 9 relations → 36 first-round pairs, above the parallel threshold.
-		db := randomDB(rng, 9)
-		par := Greedy(database.NewEvaluator(db))
-		old := runtime.GOMAXPROCS(1)
-		seq := Greedy(database.NewEvaluator(db))
-		runtime.GOMAXPROCS(old)
-		if !par.Strategy.Equal(seq.Strategy) {
-			t.Fatalf("trial %d: parallel chose %s, sequential %s",
-				trial, par.Strategy.Render(db), seq.Strategy.Render(db))
-		}
-		if par.Cost != seq.Cost || par.States != seq.States {
-			t.Fatalf("trial %d: parallel (τ=%d states=%d) != sequential (τ=%d states=%d)",
-				trial, par.Cost, par.States, seq.Cost, seq.States)
-		}
 	}
 }
 

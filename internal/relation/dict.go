@@ -11,8 +11,9 @@ import "sync"
 // bytes. IDs are assigned in first-intern order and never change, which
 // keeps every derived encoding deterministic for a fixed input order.
 //
-// A Dict is safe for concurrent use: the parallel partitioned join and
-// the prewarm worker pool may intern and resolve through a shared Dict.
+// A Dict is safe for concurrent use: the parallel partitioned join's
+// workers, and concurrent requests building relations in the
+// process-wide dictionary, may intern and resolve through a shared Dict.
 // Reads take the read lock only; the vals slab is append-only, so a
 // snapshot taken under the read lock stays valid forever.
 //

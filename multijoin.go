@@ -360,13 +360,6 @@ func LosslessStrategy(db *Database, s *Strategy, fds []FD) bool {
 	return fd.LosslessStrategy(db, s, fds)
 }
 
-// PrewarmConnected materializes every connected subset's join with a
-// worker pool and returns an Evaluator with a warm memo; see
-// internal/database.PrewarmConnected.
-func PrewarmConnected(db *Database, workers int) *Evaluator {
-	return database.PrewarmConnected(db, workers)
-}
-
 // Resource governance: budgets, cancellation and graceful degradation.
 type (
 	// Guard carries a context plus resource budgets (intermediate
@@ -428,15 +421,6 @@ func GreedyGuarded(ev *Evaluator) (OptimizeResult, error) {
 	return optimizer.GreedyGuarded(ev)
 }
 
-// PrewarmConnectedGuarded is PrewarmConnected under resource
-// governance. On a budget trip, cancellation or injected fault it
-// returns the partially warmed evaluator — every memo entry fully
-// charged and consistent — together with the typed error, and leaks no
-// goroutines.
-func PrewarmConnectedGuarded(db *Database, workers int, g *Guard) (*Evaluator, error) {
-	return database.PrewarmConnectedGuarded(db, workers, g)
-}
-
 // Observability: metrics, structured tracing and profiling hooks.
 type (
 	// Recorder is the engine's nil-safe observability sink: named
@@ -469,25 +453,8 @@ func AnalyzeObserved(db *Database, g *Guard, rec *Recorder) (*Analysis, error) {
 }
 
 // AnalyzeEvaluator runs the full analysis on a caller-supplied
-// evaluator, reusing its memo, guard and recorder — the path that lets
-// a prewarmed evaluator feed the analysis without recomputation. The
-// four subspace optimizations run concurrently over the shared
-// evaluator; the results are identical to a sequential run.
+// evaluator, reusing its memo, guard and recorder, so sets it has
+// already sized are not recomputed.
 func AnalyzeEvaluator(ev *Evaluator) (*Analysis, error) {
 	return core.AnalyzeEvaluator(ev)
-}
-
-// AnalyzeEvaluatorSequential is AnalyzeEvaluator with the subspace
-// optimizations run one at a time, for callers that need a strictly
-// ordered per-phase event stream.
-func AnalyzeEvaluatorSequential(ev *Evaluator) (*Analysis, error) {
-	return core.AnalyzeEvaluatorSequential(ev)
-}
-
-// PrewarmConnectedObserved is PrewarmConnectedGuarded with
-// instrumentation: per-level begin/end events and wall times, worker
-// busy time (utilization), and job/state/τ counters mirroring the
-// guard's charges.
-func PrewarmConnectedObserved(db *Database, workers int, g *Guard, rec *Recorder) (*Evaluator, error) {
-	return database.PrewarmConnectedObserved(db, workers, g, rec)
 }

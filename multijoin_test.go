@@ -234,15 +234,11 @@ func TestPublicAPIResourceGovernance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cancelled guarded prewarm returns the typed error and a usable
-	// partial evaluator.
+	// A cancelled context aborts the analysis with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	warm, err := multijoin.PrewarmConnectedGuarded(db, 2, multijoin.NewGuard(ctx, multijoin.GuardLimits{}))
-	if !errors.Is(err, context.Canceled) {
+	_, err = multijoin.AnalyzeGuarded(db, multijoin.NewGuard(ctx, multijoin.GuardLimits{}))
+	if !errors.Is(err, context.Canceled) || !multijoin.Tripped(err) {
 		t.Fatalf("want cancellation, got %v", err)
-	}
-	if warm == nil {
-		t.Fatal("aborted prewarm must still return the partial evaluator")
 	}
 }
