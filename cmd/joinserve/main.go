@@ -10,7 +10,7 @@
 // budgets, a bounded concurrency slot. When a class saturates, requests
 // are shed with 429 and a Retry-After computed from in-flight
 // deadlines. When a budget trips mid-request, the degradation ladder
-// (exhaustive → dp → greedy → estimate) retries one rung down and the
+// (dp → yannakakis → greedy → estimate) retries one rung down and the
 // response says which rung answered. Repeat queries against unchanged
 // data are answered from a plan cache keyed by hypergraph shape +
 // statistics fingerprint.

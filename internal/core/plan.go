@@ -92,8 +92,8 @@ type Plan struct {
 	// "((0 1) 2)" — name-free so it binds to any database with the same
 	// fingerprint.
 	Expr string `json:"expr"`
-	// Method names the ladder rung that produced the plan: "exhaustive",
-	// "dp", "greedy" or "estimate".
+	// Method names the ladder rung that produced the plan: "dp",
+	// "yannakakis", "greedy" or "estimate".
 	Method string `json:"method"`
 	// Cost is τ(S) at planning time; for estimate plans it is the
 	// estimated τ rounded to integer.

@@ -17,8 +17,8 @@ import (
 // The degradation ladder. The paper's strategy spaces are searched by
 // algorithms of strictly decreasing cost and decreasing guarantees:
 //
-//	exhaustive  (2n−3)!! enumeration — certain optimum, exponential
-//	dp          subset dynamic program — τ-optimum, 2^n states
+//	dp          subset dynamic program — the full space's τ-optimum,
+//	            2^n states
 //	yannakakis  semijoin-reduced join tree — acyclic schemes only,
 //	            intermediates bounded by the output, polynomial
 //	greedy      O(n³) heuristic probe — no guarantee, executes joins
@@ -35,10 +35,9 @@ import (
 type Rung int
 
 const (
-	// RungExhaustive enumerates every strategy in the space.
-	RungExhaustive Rung = iota
-	// RungDP runs the memoized subset dynamic program.
-	RungDP
+	// RungDP runs the memoized subset dynamic program, whose τ is the
+	// full space's optimum.
+	RungDP Rung = iota
 	// RungYannakakis runs the governed semijoin reduction + join-tree
 	// join. It applies only to component-wise α-acyclic schemes and is
 	// skipped otherwise; where it applies, its intermediates are bounded
@@ -51,6 +50,13 @@ const (
 	RungEstimate
 	rungCount
 )
+
+// RungExhaustive was the enumeration rung above RungDP.
+//
+// Deprecated: the rung is gone and no class may start at it; the name
+// remains only so serve.rung.exhaustive.share can still be built from
+// its String.
+const RungExhaustive Rung = -1
 
 // String names the rung as it appears in responses and metrics.
 func (r Rung) String() string {
@@ -68,21 +74,6 @@ func (r Rung) String() string {
 	}
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
-
-// ParseRung resolves a rung name from a request body.
-func ParseRung(name string) (Rung, error) {
-	for r := RungExhaustive; r < rungCount; r++ {
-		if r.String() == name {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown rung %q (want exhaustive|dp|yannakakis|greedy|estimate)", name)
-}
-
-// exhaustiveMaxRelations bounds the enumeration rung the same way the
-// CLI's -optima does: past 8 relations (2n−3)!! is out of reach and the
-// ladder starts at the DP instead.
-const exhaustiveMaxRelations = 8
 
 // estimateDPMaxRelations bounds the estimate rung's own subset DP; past
 // it the rung falls back to the left-deep order, which costs O(n).
@@ -171,14 +162,6 @@ func runLadder(req ladderRequest) (*ladderOutcome, error) {
 	// The yannakakis rung exists only for component-wise α-acyclic
 	// schemes; the check is scheme-only and costs a GYO pass.
 	acyclic := req.db.Graph().AcyclicComponents()
-	if start == RungExhaustive && req.db.Len() > exhaustiveMaxRelations {
-		start = RungDP
-	}
-	if req.analyze && start < RungDP {
-		// The four-space analysis with certificates IS the DP rung;
-		// exhaustive enumeration adds nothing to an analyze request.
-		start = RungDP
-	}
 	if req.planMode != PlanExact && !req.analyze {
 		// Estimate-driven planning is the fast path, not a degradation:
 		// skip every executing rung and plan from statistics directly.
@@ -268,14 +251,6 @@ func attemptRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcom
 // estimate rung charges its model DP states directly.
 func planRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) error {
 	switch rung {
-	case RungExhaustive:
-		res, err := optimizer.ExhaustiveGuarded(req.ev)
-		if err != nil {
-			return err
-		}
-		out.strategy, out.cost, out.estimated = res.Strategy, int64(res.Cost), false
-		return nil
-
 	case RungDP:
 		if req.analyze {
 			an, err := core.AnalyzeEvaluator(req.ev)

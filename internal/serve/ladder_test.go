@@ -26,12 +26,10 @@ func TestLadderPerRung(t *testing.T) {
 	cases := []struct {
 		name     string
 		start    Rung
-		tripThru Rung // every rung ≤ tripThru gets the tripping budget
+		tripThru Rung // every rung ≤ tripThru gets the tripping budget; -1 trips none
 		wantRung Rung
 		wantTrip int
 	}{
-		{"exhaustive clean", RungExhaustive, Rung(-1), RungExhaustive, 0},
-		{"exhaustive trips to dp", RungExhaustive, RungExhaustive, RungDP, 1},
 		{"dp clean", RungDP, Rung(-1), RungDP, 0},
 		{"dp trips to yannakakis", RungDP, RungDP, RungYannakakis, 1},
 		{"yannakakis clean", RungYannakakis, Rung(-1), RungYannakakis, 0},
@@ -39,7 +37,7 @@ func TestLadderPerRung(t *testing.T) {
 		{"dp trips through yannakakis", RungDP, RungYannakakis, RungGreedy, 2},
 		{"greedy clean", RungGreedy, Rung(-1), RungGreedy, 0},
 		{"greedy trips to estimate", RungGreedy, RungGreedy, RungEstimate, 1},
-		{"full descent", RungExhaustive, RungGreedy, RungEstimate, 4},
+		{"full descent", RungDP, RungGreedy, RungEstimate, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,18 +230,5 @@ func TestLadderSkipsYannakakisOnCyclicScheme(t *testing.T) {
 	}
 	if len(out.trips) != 1 || out.trips[0].rung != RungDP {
 		t.Fatalf("trips = %+v, want exactly the dp trip", out.trips)
-	}
-}
-
-// TestParseRung round-trips every rung name and rejects junk.
-func TestParseRung(t *testing.T) {
-	for r := RungExhaustive; r < rungCount; r++ {
-		got, err := ParseRung(r.String())
-		if err != nil || got != r {
-			t.Errorf("round trip %v: %v %v", r, got, err)
-		}
-	}
-	if _, err := ParseRung("quantum"); err == nil {
-		t.Error("unknown rung accepted")
 	}
 }

@@ -202,14 +202,17 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // handleRun is both API endpoints: decode, admit, descend the ladder,
 // answer. analyze selects the full four-space analysis; otherwise the
 // request plans (and optionally executes) in the full space only. The
-// whole run is traced against a request-scoped recorder; finishRequest
-// owns the epilogue (headers, body, labeled series, flight record).
+// whole run is traced against a request-scoped recorder whose root span
+// opens first; finishRequest owns the epilogue (series, body, flight
+// record, headers).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, analyze bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "bad_request", "serve: POST only", 0, nil)
 		return
 	}
+	start := time.Now()
+	rt := s.startRequestTrace(r)
 
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -220,8 +223,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, analyze bool)
 	}
 
 	s.cRequests.Inc()
-	start := time.Now()
-	rt := s.startRequestTrace(r)
 	resp, herr := s.serveRun(r, rt, analyze)
 	dur := time.Since(start)
 	s.tRequest.Observe(dur)
@@ -286,23 +287,32 @@ func (s *Server) serveRun(r *http.Request, rt *requestTrace, analyze bool) (*Res
 	return s.runRequest(ctx, rt, req, db, class, plan, analyze)
 }
 
-// finishRequest is the traced epilogue shared by success and failure:
-// end the root span, stamp the trace headers, write the body, feed the
-// per-tenant labeled series and latency histograms, offer the request
-// to the flight recorder, and fold the request-scoped recorder into the
-// server's so process totals keep reconciling.
+// finishRequest is the traced epilogue shared by success and failure.
+// Inside the root span it encodes the body, feeds the per-tenant labeled
+// series and histograms and the outcome counters, and folds the
+// request-scoped recorder into the server's so process totals keep
+// reconciling. Then the root span ends, and its completed tree is offered
+// to the flight recorder and, on success, spliced into the body as the
+// response's last field, "trace". Only writing the bytes is left.
 func (s *Server) finishRequest(w http.ResponseWriter, rt *requestTrace,
 	resp *Response, herr *httpError, dur time.Duration) {
+	var body []byte
+	if herr == nil {
+		// Trace is still nil, so the body ends where the trace goes.
+		resp.Tenant = rt.class
+		var err error
+		if body, err = json.Marshal(resp); err != nil {
+			herr = &httpError{status: http.StatusInternalServerError, kind: "internal",
+				msg: "serve: encoding the response: " + err.Error()}
+		}
+	}
 	outcome, status := "ok", http.StatusOK
 	if herr != nil {
 		outcome, status = herr.kind, herr.status
 		rt.root.Fail(errors.New(herr.msg))
+		body = errorBody(herr.kind, herr.msg, herr.retryAfter, herr.trips)
 	}
 	rt.root.SetAttr("outcome", outcome)
-	rt.root.End()
-
-	w.Header().Set("Trace-Id", rt.traceID)
-	w.Header().Set("Traceparent", rt.traceparentHeader())
 
 	tenant := rt.class
 	if tenant == "" {
@@ -312,6 +322,17 @@ func (s *Server) finishRequest(w http.ResponseWriter, rt *requestTrace,
 	s.rec.LabeledCounter(obs.MetricServeRequestsBy, labels).Inc()
 	s.rec.Histogram(obs.MetricServeRequestLatency, obs.DefaultLatencyBucketsNS, labels).
 		Observe(dur.Nanoseconds())
+	if herr != nil {
+		s.cFailed.Inc()
+	} else {
+		s.rec.Histogram(obs.MetricServeRequestTuples, obs.DefaultTupleBuckets, labels).
+			Observe(resp.Guard.Tuples.Spent)
+		s.cOK.Inc()
+		s.rec.Counter(obs.MetricTenantOK(rt.class)).Inc()
+	}
+	// Ending a span touches no metric, so the fold loses nothing.
+	s.rec.Absorb(rt.rec)
+	rt.root.End()
 
 	spans := rt.rec.Spans()
 	entry := FlightEntry{
@@ -324,39 +345,34 @@ func (s *Server) finishRequest(w http.ResponseWriter, rt *requestTrace,
 		Spans:    spans,
 	}
 	if herr != nil {
-		s.cFailed.Inc()
 		entry.Error = herr.msg
-		if herr.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(herr.retryAfter))
-		}
 	} else {
-		resp.Tenant = rt.class
-		resp.Trace = &TraceInfo{
-			TraceID:      rt.traceID,
-			DroppedSpans: rt.rec.DroppedSpans(),
-			Spans:        spans,
-		}
 		entry.Rung = resp.Rung
 		entry.Degraded = resp.Degraded
 		entry.Tuples = resp.Guard.Tuples.Spent
 		entry.States = resp.Guard.States.Spent
-		s.rec.Histogram(obs.MetricServeRequestTuples, obs.DefaultTupleBuckets, labels).
-			Observe(resp.Guard.Tuples.Spent)
-		s.cOK.Inc()
-		s.rec.Counter(obs.MetricTenantOK(rt.class)).Inc()
+		// A TraceInfo always marshals.
+		trace, _ := json.Marshal(TraceInfo{
+			TraceID:      rt.traceID,
+			DroppedSpans: rt.rec.DroppedSpans(),
+			Spans:        spans,
+		})
+		body = append(body[:len(body)-1], `,"trace":`...)
+		body = append(body, trace...)
+		body = append(body, "}\n"...)
 	}
-	// Record and fold before the body goes out: a client that has seen
-	// the response must already find its trace at /debug/requests and
-	// its spend in /metrics.
+	// Record before the body goes out: a client that has seen the
+	// response must already find its trace at /debug/requests (and,
+	// folded above, its spend in /metrics).
 	if s.flight.interesting(entry) {
 		s.flight.record(entry)
 	}
-	s.rec.Absorb(rt.rec)
-	if herr != nil {
-		writeError(w, herr.status, herr.kind, herr.msg, herr.retryAfter, herr.trips)
-		return
+	w.Header().Set("Trace-Id", rt.traceID)
+	w.Header().Set("Traceparent", rt.traceparentHeader())
+	if herr != nil && herr.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(herr.retryAfter))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, status, body)
 }
 
 // httpError is a classified request failure.
@@ -426,15 +442,14 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	}
 
 	resp := s.buildResponse(db, ev, out, fp)
-	// Cache fills: the executing rungs' exact plans — the yannakakis
-	// rung's join-tree strategy included, since the tree is a pure
-	// function of the fingerprinted scheme — plus estimate-mode plans:
-	// core.Fingerprint digests the same statistics the catalog reads, so
-	// an estimated plan is a pure function of the cache key.
-	// Degradation-path estimate answers (exact mode) are NOT cached: they
-	// exist because budgets tripped, not because planning finished.
-	fill := out.rung == RungExhaustive || out.rung == RungDP ||
-		out.rung == RungYannakakis ||
+	// Cache fills: the DP's τ-optimal plans and the yannakakis rung's
+	// join-tree strategy, a pure function of the fingerprinted scheme,
+	// plus estimate-mode plans: core.Fingerprint digests the same
+	// statistics the catalog reads, so an estimated plan is a pure
+	// function of the cache key. Greedy plans carry no guarantee, and
+	// degradation-path estimate answers (exact mode) exist because
+	// budgets tripped, not because planning finished: neither is cached.
+	fill := out.rung == RungDP || out.rung == RungYannakakis ||
 		(planMode != PlanExact && out.rung == RungEstimate)
 	if !req.NoCache && fill {
 		s.cache.put(fp, cachedPlan{
@@ -563,21 +578,34 @@ func encodeAnalysis(db *database.Database, an *core.Analysis) (json.RawMessage, 
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-// writeJSON writes a JSON body with status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeBody writes an encoded JSON body with status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeJSON writes v as a compact JSON body and a newline with status.
+// Its callers pass maps of plain values and the flight document, which
+// always marshal.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, _ := json.Marshal(v)
+	writeBody(w, status, append(body, '\n'))
 }
 
 // writeError writes the standard error body.
 func writeError(w http.ResponseWriter, status int, kind, msg string, retryAfter int, trips []TripInfo) {
-	writeJSON(w, status, ErrorInfo{
+	writeBody(w, status, errorBody(kind, msg, retryAfter, trips))
+}
+
+// errorBody encodes the standard error body; an ErrorInfo, all strings
+// and ints, always marshals.
+func errorBody(kind, msg string, retryAfter int, trips []TripInfo) []byte {
+	body, _ := json.Marshal(ErrorInfo{
 		Error:             msg,
 		Kind:              kind,
 		RetryAfterSeconds: retryAfter,
 		Trips:             trips,
 	})
+	return append(body, '\n')
 }

@@ -1,14 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"multijoin/internal/database"
+	"multijoin/internal/gen"
 	"multijoin/internal/obs"
+	"multijoin/internal/optimizer"
 	"multijoin/internal/paperex"
 )
 
@@ -288,11 +294,88 @@ func TestTenantConfigValidation(t *testing.T) {
 		"no deadline":  {{Name: "x", MaxConcurrent: 1}},
 		"no slots":     {{Name: "x", Deadline: time.Second}},
 		"bad rung":     {{Name: "x", Deadline: time.Second, MaxConcurrent: 1, StartRung: Rung(99)}},
+		"exhaustive":   {{Name: "x", Deadline: time.Second, MaxConcurrent: 1, StartRung: RungExhaustive}},
 		"duplicate":    {{Name: "x", Deadline: time.Second, MaxConcurrent: 1}, {Name: "x", Deadline: time.Second, MaxConcurrent: 1}},
 		"negative que": {{Name: "x", Deadline: time.Second, MaxConcurrent: 1, MaxQueue: -1}},
 	} {
 		if _, err := New(Config{Tenants: classes}); err == nil {
 			t.Errorf("%s: config accepted", name)
 		}
+	}
+}
+
+// TestPremiumAnswersAtDP pins premium's ladder: it starts at the DP, so
+// an executed query answers at rung dp, undegraded, and its cost is the
+// τ that exhaustive enumeration of the (2n−3)!! strategies finds.
+func TestPremiumAnswersAtDP(t *testing.T) {
+	_, doer, _ := newTestServer(t, Config{})
+	rng := rand.New(rand.NewSource(7))
+	for _, shape := range []gen.Shape{gen.Chain, gen.Star, gen.Cycle, gen.Clique} {
+		for n := 5; n <= 7; n++ {
+			name := fmt.Sprintf("%v%d", shape, n)
+			db := gen.Uniform(rng, gen.Schemes(shape, n), 12, 6)
+			body, err := BuildRequestBody(db, "premium", true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := doer.Do(context.Background(), http.MethodPost, "/v1/query", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := decode200(t, res)
+			if out.Rung != "dp" || out.Degraded {
+				t.Errorf("%s: answered at %q (degraded %v), want dp", name, out.Rung, out.Degraded)
+			}
+			want := optimizer.Exhaustive(database.NewEvaluator(db))
+			if out.Plan.Cost != int64(want.Cost) {
+				t.Errorf("%s: plan.cost %d, want the exhaustive optimum %d", name, out.Plan.Cost, want.Cost)
+			}
+		}
+	}
+}
+
+// TestBodiesAreCompactJSON: every body the API writes is json.Marshal of
+// its decoded value plus a newline. For a success body that also pins
+// the trace section, spliced in after the rest is encoded, to the last
+// field of Response.
+func TestBodiesAreCompactJSON(t *testing.T) {
+	_, doer, _ := newTestServer(t, Config{SlowThreshold: time.Nanosecond})
+	check := func(name string, body []byte, v any) {
+		t.Helper()
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, body)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(body, want) {
+			t.Errorf("%s: body is not its value's compact encoding\n got %s\nwant %s", name, body, want)
+		}
+	}
+	for _, path := range []string{"/v1/query", "/v1/analyze"} {
+		res, err := doer.Do(context.Background(), http.MethodPost, path, mustBody(t, "standard", true, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := decode200(t, res)
+		if out.Trace == nil || len(out.Trace.Spans) == 0 {
+			t.Fatalf("%s: no trace in the body", path)
+		}
+		check(path, res.Body, &Response{})
+	}
+	res, err := doer.Do(context.Background(), http.MethodPost, "/v1/query", []byte(`{"tenant":"vip"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("error", res.Body, &ErrorInfo{})
+	res, err = doer.Do(context.Background(), http.MethodGet, "/debug/requests", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc FlightDoc
+	check("/debug/requests", res.Body, &doc)
+	if len(doc.Entries) == 0 {
+		t.Error("the flight document recorded no request")
 	}
 }

@@ -29,9 +29,10 @@ type TenantClass struct {
 	// MaxQueue bounds how many requests may wait for a slot; an arrival
 	// beyond it is shed with 429.
 	MaxQueue int
-	// StartRung is where the degradation ladder starts for this class.
-	// Premium tenants may pay for the exhaustive rung; cheap tenants
-	// start at the DP or below.
+	// StartRung is where the degradation ladder starts for this class:
+	// RungDP (the zero value) or a rung below it. Premium and standard
+	// both start at the DP and differ only in their budgets; cheap
+	// tenants start lower.
 	StartRung Rung
 }
 
@@ -54,8 +55,8 @@ func (c TenantClass) Validate() error {
 	if c.MaxQueue < 0 {
 		return fmt.Errorf("serve: tenant %q has negative queue depth", c.Name)
 	}
-	if c.StartRung < RungExhaustive || c.StartRung > RungEstimate {
-		return fmt.Errorf("serve: tenant %q has unknown start rung %d", c.Name, c.StartRung)
+	if c.StartRung < RungDP || c.StartRung > RungEstimate {
+		return fmt.Errorf("serve: tenant %q has start rung %s, want dp, yannakakis, greedy or estimate", c.Name, c.StartRung)
 	}
 	return nil
 }
@@ -89,7 +90,7 @@ func DefaultTenants() []TenantClass {
 			MaxStates:     2_000_000,
 			MaxConcurrent: 16,
 			MaxQueue:      64,
-			StartRung:     RungExhaustive,
+			StartRung:     RungDP,
 		},
 	}
 }

@@ -13,11 +13,14 @@ import (
 // obs.Recorder carrying a span tree rooted at "request": admission,
 // the ladder rungs, and each rung's optimize/execute phases appear as
 // child spans whose τ/state attribution comes from guard-ledger diffs
-// at the span boundaries. The response body carries the completed tree,
-// the Trace-Id header names it, and an incoming W3C traceparent header
-// is honored so the service joins a caller's existing trace. The
-// request recorder is folded into the server's root recorder in the
-// epilogue, so process-level totals still reconcile.
+// at the span boundaries. The root span covers the whole handler except
+// what needs the closed tree (the trace section, the flight-recorder
+// entry) and writing the response. The response body carries the
+// completed tree as its last field, the Trace-Id header names it, and
+// an incoming W3C traceparent header is honored so the service joins a
+// caller's existing trace. The request recorder is folded into the
+// server's root recorder in the epilogue, inside the root span, so
+// process-level totals still reconcile.
 
 // TraceInfo is the trace section of a successful response: the request's
 // completed span tree and its identity.
@@ -44,19 +47,20 @@ type requestTrace struct {
 	class string
 }
 
-// startRequestTrace opens the per-request recorder and root span,
-// adopting the caller's trace ID from a valid traceparent header or
-// minting a fresh one.
+// startRequestTrace opens the per-request recorder and, at once, the
+// root span, so the span covers the rest of the handler; then it adopts
+// the caller's trace ID from a valid traceparent header or mints a
+// fresh one.
 func (s *Server) startRequestTrace(r *http.Request) *requestTrace {
-	rt := &requestTrace{rec: obs.NewRecorder(), endpoint: r.URL.Path}
+	rec := obs.NewRecorder()
+	rt := &requestTrace{rec: rec, root: rec.StartSpan(obs.SpanRequest), endpoint: r.URL.Path}
+	rt.root.SetAttr("endpoint", rt.endpoint)
 	if tid, ok := parseTraceparent(r.Header.Get("Traceparent")); ok {
 		rt.traceID = tid
 	} else {
 		rt.traceID = randHex(16)
 	}
 	rt.spanID = randHex(8)
-	rt.root = rt.rec.StartSpan(obs.SpanRequest)
-	rt.root.SetAttr("endpoint", rt.endpoint)
 	return rt
 }
 
