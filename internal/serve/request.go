@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,9 +55,17 @@ type Request struct {
 // DecodeRequest strictly parses a request body and its embedded
 // database. Every failure is an *exitcode.InputError — malformed input
 // is the caller's fault (HTTP 400, exit code 3), never an internal
-// error.
+// error. The body's length is not known in advance, so it is read into
+// a buffer grown as it fills.
 func DecodeRequest(r io.Reader) (*Request, *database.Database, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxRequestBytes+1))
+	return decodeRequest(r, -1)
+}
+
+// decodeRequest is DecodeRequest for a body of declared length
+// (negative: unknown). The declaration only sizes the read buffer: a
+// longer body is still read to its end, up to MaxRequestBytes+1 bytes.
+func decodeRequest(r io.Reader, length int64) (*Request, *database.Database, error) {
+	body, err := readBody(io.LimitReader(r, MaxRequestBytes+1), length)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: reading request body: %w", err)
 	}
@@ -68,6 +77,18 @@ func DecodeRequest(r io.Reader) (*Request, *database.Database, error) {
 		return nil, nil, exitcode.Input(err)
 	}
 	return req, db, nil
+}
+
+// readBody reads r to its end. A declared length within MaxRequestBytes
+// sizes one buffer, plus the bytes.MinRead of room ReadFrom needs to
+// see EOF without growing it.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	if length < 0 || length > MaxRequestBytes {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, length+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // requestFields lists Request's JSON keys, in the order decodeRequestBytes

@@ -231,9 +231,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request, analyze bool)
 
 // serveRun runs one traced request end to end: decode, tenant lookup,
 // admission, then the plan cache and ladder. It returns the response or
-// a classified failure, never writing to the wire itself.
+// a classified failure, never writing to the wire itself. The body is
+// read into one buffer of its declared Content-Length when that is at
+// most MaxRequestBytes; an unknown or larger length is read as
+// DecodeRequest reads it.
 func (s *Server) serveRun(r *http.Request, rt *requestTrace, analyze bool) (*Response, *httpError) {
-	req, db, err := DecodeRequest(r.Body)
+	req, db, err := decodeRequest(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, &httpError{status: http.StatusBadRequest, kind: "bad_request", msg: err.Error()}
 	}

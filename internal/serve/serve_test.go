@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +178,53 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(res.Body, &ei); err != nil || ei.Error == "" || ei.Kind == "" {
 			t.Errorf("%s: error body not typed: %v %s", name, err, res.Body)
 		}
+	}
+	// A body past MaxRequestBytes is refused alike whether its length is
+	// declared or unknown.
+	big := bytes.Repeat([]byte{' '}, MaxRequestBytes+1)
+	for name, length := range map[string]int64{"oversize, length declared": int64(len(big)), "oversize, length unknown": -1} {
+		w := postQuery(doer.Handler, big, length)
+		var ei ErrorInfo
+		if err := json.Unmarshal(w.Body.Bytes(), &ei); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, w.Body)
+		}
+		if w.Code != http.StatusBadRequest || ei.Kind != "bad_request" ||
+			!strings.Contains(ei.Error, "request body exceeds 8388608 bytes") {
+			t.Errorf("%s: status %d, body %s; want 400 bad_request, body too large", name, w.Code, w.Body)
+		}
+	}
+}
+
+// postQuery sends body to /v1/query with the given declared
+// Content-Length (-1: unknown) and returns the recorded response.
+func postQuery(h http.Handler, body []byte, length int64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+	req.ContentLength = length
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
+}
+
+// TestDeclaredLengthKeepsTheAnswer: the handler reads a body of declared
+// length into one buffer and one of unknown length as it comes; the
+// answer is the same either way. Only the trace and the guard's
+// wall-clock deadline differ between two requests.
+func TestDeclaredLengthKeepsTheAnswer(t *testing.T) {
+	_, doer, _ := newTestServer(t, Config{})
+	body := mustBody(t, "standard", true, true)
+	var answers [2]Response
+	for k, length := range []int64{int64(len(body)), -1} {
+		w := postQuery(doer.Handler, body, length)
+		if w.Code != http.StatusOK {
+			t.Fatalf("length %d: status %d: %s", length, w.Code, w.Body)
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &answers[k]); err != nil {
+			t.Fatal(err)
+		}
+		answers[k].Trace, answers[k].Guard.Deadline = nil, time.Time{}
+	}
+	if !reflect.DeepEqual(answers[0], answers[1]) {
+		t.Errorf("declared length answered %+v, unknown length %+v", answers[0], answers[1])
 	}
 }
 
