@@ -164,7 +164,7 @@ func BenchmarkOptimizeSpaces(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ev := multijoin.NewEvaluator(db).WithGuard(benchGuard())
-				if _, err := multijoin.OptimizeGuarded(ev, sp); err != nil {
+				if _, err := multijoin.Optimize(ev, sp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -180,7 +180,7 @@ func BenchmarkGreedyHeuristic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev := multijoin.NewEvaluator(db).WithGuard(benchGuard())
-		if _, err := multijoin.GreedyGuarded(ev); err != nil {
+		if _, err := multijoin.Greedy(ev); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func BenchmarkFullReduce(b *testing.B) {
 	db := multijoin.GenerateUniform(rng, multijoin.GenerateSchemes(multijoin.ShapeChain, 8), 200, 50)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := multijoin.FullReduce(db); err != nil {
+		if _, err := multijoin.FullReduce(db, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -130,7 +130,7 @@ func buildCases(tenantList, exampleList string, execute, noCache bool, analyzeEv
 	for _, tenant := range strings.Split(tenantList, ",") {
 		tenant = strings.TrimSpace(tenant)
 		for _, db := range dbs {
-			body, err := serve.BuildRequestBody(db, tenant, execute, noCache)
+			body, err := serve.BuildRequestBodyMode(db, tenant, execute, noCache, "")
 			if err != nil {
 				return nil, err
 			}

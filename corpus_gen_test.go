@@ -24,7 +24,7 @@ func TestPrintCorpusExpectations(t *testing.T) {
 	sort.Strings(names)
 	for _, name := range names {
 		db := loadCorpus(t, name)
-		an, err := multijoin.Analyze(db)
+		an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,7 @@ func TestCorpusExpectations(t *testing.T) {
 		name, want := name, want
 		t.Run(name, func(t *testing.T) {
 			db := loadCorpus(t, name)
-			an, err := multijoin.Analyze(db)
+			an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 			if err != nil {
 				t.Fatal(err)
 			}

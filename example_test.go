@@ -37,7 +37,7 @@ func ExampleOptimize() {
 
 func ExampleAnalyze() {
 	db := multijoin.ExampleDatabase(3)
-	an, _ := multijoin.Analyze(db)
+	an, _ := multijoin.Analyze(multijoin.NewEvaluator(db))
 	for _, rep := range an.Profile.Reports {
 		if rep.Cond == multijoin.C1 || rep.Cond == multijoin.C1Strict {
 			fmt.Printf("%s holds: %v\n", rep.Cond, rep.Holds)
@@ -106,9 +106,9 @@ func ExampleFullReduce() {
 		multijoin.RelationFromStrings("R", "AB", "1 x", "2 y", "3 z"),
 		multijoin.RelationFromStrings("S", "BC", "x 7", "y 8"),
 	)
-	reduced, _ := multijoin.FullReduce(db)
-	fmt.Println("R shrank to", reduced.Relation(0).Size(), "tuples")
-	fmt.Println("pairwise consistent:", multijoin.PairwiseConsistent(reduced))
+	red, _ := multijoin.FullReduce(db, nil, nil)
+	fmt.Println("R shrank to", red.Database.Relation(0).Size(), "tuples")
+	fmt.Println("pairwise consistent:", multijoin.PairwiseConsistent(red.Database))
 	// Output:
 	// R shrank to 2 tuples
 	// pairwise consistent: true

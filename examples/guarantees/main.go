@@ -50,7 +50,7 @@ func main() {
 }
 
 func report(db *multijoin.Database) {
-	an, err := multijoin.Analyze(db)
+	an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,10 +56,10 @@ func main() {
 		multijoin.RelationFromStrings("BC", "BC", "x 7", "y 8", "q 9"),
 		multijoin.RelationFromStrings("CD", "CD", "7 p", "8 p", "0 r"),
 	)
-	result, sizes, err := multijoin.Yannakakis(chain)
+	y, err := multijoin.Yannakakis(chain, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Yannakakis on a chain: output τ=%d, intermediate sizes %v (all ≤ output)\n",
-		result.Size(), sizes)
+		y.Result.Size(), y.JoinSizes)
 }

@@ -64,7 +64,7 @@ func main() {
 
 	// Ask the Analyzer which restrictions the theorems certify as safe,
 	// and double-check the certificates against the measured optima.
-	an, err := multijoin.Analyze(db)
+	an, err := multijoin.Analyze(ev)
 	if err != nil {
 		log.Fatal(err)
 	}

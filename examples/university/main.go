@@ -29,7 +29,7 @@ func show(example int, query, lesson string) {
 	fmt.Printf("— Example %d: %q\n", example, query)
 	fmt.Println(db)
 
-	an, err := multijoin.Analyze(db)
+	an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	fmt.Println("PK–FK star schema: Orders(Order,Cust,Prod), Customers(Cust,Region), Products(Prod,Category)")
 	fmt.Println("dimension keys are superkeys of their tables; Orders⋈dimension is bounded by |Orders|")
 
-	an, err := multijoin.Analyze(db)
+	an, err := multijoin.Analyze(ev)
 	if err != nil {
 		log.Fatal(err)
 	}

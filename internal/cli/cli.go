@@ -153,7 +153,7 @@ func Run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case *optima:
 			return listOptima(stdout, db, g, rec)
 		case *format == "json":
-			an, err := runAnalysis(db, g, rec)
+			an, err := core.AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g).WithRecorder(rec))
 			if err != nil {
 				return err
 			}
@@ -407,18 +407,23 @@ func planYannakakis(w io.Writer, db *database.Database, g *guard.Guard, rec *obs
 	return nil
 }
 
-// reduceReport runs the full reducer and prints per-relation sizes. It
-// reduces component-wise, so unconnected-but-acyclic schemes reduce
-// instead of erroring, and runs governed — a -max-tuples budget trips
+// reduceReport runs the Yannakakis evaluation once and prints
+// per-relation sizes before and after its full reduction, then the join
+// it computed. It reduces component-wise, so unconnected-but-acyclic
+// schemes reduce instead of erroring; a cyclic scheme is rejected as a
+// user-input error. It runs governed — a -max-tuples budget trips
 // mid-reduction with the typed error.
 func reduceReport(w io.Writer, db *database.Database, g *guard.Guard, rec *obs.Recorder) (err error) {
 	defer guard.Trap(&err)
 	setPhase(g, rec, "reduce")
-	red, err := semijoin.FullReduceComponentsGuarded(db, g, rec)
+	ev, err := semijoin.YannakakisGuarded(db, g, rec)
 	if err != nil {
+		if errors.Is(err, semijoin.ErrNotAcyclic) {
+			return exitcode.Input(err)
+		}
 		return err
 	}
-	reduced := red.Database
+	reduced := ev.Reduction.Database
 	fmt.Fprintln(w, "relation sizes before → after full reduction:")
 	for i := 0; i < db.Len(); i++ {
 		name := db.Relation(i).Name()
@@ -428,10 +433,6 @@ func reduceReport(w io.Writer, db *database.Database, g *guard.Guard, rec *obs.R
 		fmt.Fprintf(w, "  %-10s %4d → %4d\n", name, db.Relation(i).Size(), reduced.Relation(i).Size())
 	}
 	fmt.Fprintf(w, "pairwise consistent after reduction: %v\n", semijoin.PairwiseConsistent(reduced))
-	ev, err := semijoin.YannakakisGuarded(db, g, rec)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "Yannakakis evaluation: output τ=%d, intermediate sizes %v\n", ev.Result.Size(), ev.JoinSizes)
 	return nil
 }
@@ -494,7 +495,7 @@ func optimaFallback(w io.Writer, ev *database.Evaluator, sp optimizer.Space, cau
 	}
 	fmt.Fprintf(w, "  DP fallback also cut: %v\n", err)
 	rec.Counter(obs.MetricDegradeGreedy).Inc()
-	greedy, err := optimizer.GreedyGuarded(ev)
+	greedy, err := optimizer.Greedy(ev)
 	if err == nil {
 		fmt.Fprintf(w, "  falling back to greedy (full space, no optimality guarantee): τ=%d  %s\n",
 			greedy.Cost, greedy.Strategy.Render(db))
@@ -504,18 +505,12 @@ func optimaFallback(w io.Writer, ev *database.Evaluator, sp optimizer.Space, cau
 	return cause
 }
 
-// runAnalysis runs the full analysis over a fresh governed, observed
-// evaluator.
-func runAnalysis(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*core.Analysis, error) {
-	return core.AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g).WithRecorder(rec))
-}
-
 func analyze(w io.Writer, db *database.Database, g *guard.Guard, rec *obs.Recorder, listStrategies bool) error {
 	fmt.Fprintln(w, "database:")
 	fmt.Fprintln(w, db)
 	fmt.Fprintln(w)
 
-	an, err := runAnalysis(db, g, rec)
+	an, err := core.AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g).WithRecorder(rec))
 	if err != nil {
 		return err
 	}

@@ -128,6 +128,18 @@ func TestReduceGoverned(t *testing.T) {
 	}
 }
 
+// TestReduceRejectsCyclic: a cyclic scheme has no join tree to reduce
+// along, which is unsupported input (exit 3), as for -plan yannakakis.
+func TestReduceRejectsCyclic(t *testing.T) {
+	_, errOut, code := run(t, "-gen", "cycle", "-n", "4", "-reduce")
+	if code != 3 {
+		t.Fatalf("cyclic scheme exited %d, want 3 (input): %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "no join tree") {
+		t.Errorf("stderr: %s", errOut)
+	}
+}
+
 func TestPlanYannakakis(t *testing.T) {
 	out, _, code := run(t, "-example", "5", "-plan", "yannakakis")
 	if code != 0 {

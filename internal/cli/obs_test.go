@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"multijoin/internal/obs"
+	"multijoin/internal/semijoin"
 )
 
 // decodeObsFiles reads back the metrics and trace files a run wrote.
@@ -197,6 +198,50 @@ func TestStateTrippedRunReconciles(t *testing.T) {
 	}
 	if got, want := snap.Counters["eval.tuples"]+snap.Counters["plan.yannakakis.tuples"], snap.Gauges["guard.spent.tuples"]; got != want {
 		t.Errorf("tripped run: eval.tuples+plan.yannakakis.tuples = %d, guard.spent.tuples = %d", got, want)
+	}
+}
+
+// TestReduceRunsTheSemijoinProgramOnce: -reduce reduces and joins in
+// one Yannakakis run, so the semijoin counter reads the program length
+// 2·(n−1) of an n-relation chain, and the guard's tuple ledger is the
+// semijoin result sizes plus the join result sizes of that one run.
+func TestReduceRunsTheSemijoinProgramOnce(t *testing.T) {
+	const n = 5
+	m := filepath.Join(t.TempDir(), "m.json")
+	_, errOut, code := run(t, "-gen", "chain", "-n", strconv.Itoa(n), "-rows", "6", "-domain", "3",
+		"-reduce", "-metrics-out", m)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	mf, err := os.Open(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	snap, err := obs.DecodeMetrics(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters[obs.MetricYannakakisSemijoins]; got != 2*(n-1) {
+		t.Errorf("plan.yannakakis.semijoins = %d, want 2·(n−1) = %d", got, 2*(n-1))
+	}
+
+	db, err := loadDatabase(0, "", "chain", n, 6, 3, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := semijoin.YannakakisGuarded(db, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	for _, sizes := range [][]int{ev.Reduction.Sizes, ev.JoinSizes} {
+		for _, s := range sizes {
+			want += int64(s)
+		}
+	}
+	if got := snap.Gauges[obs.MetricGuardSpentTuples]; got != want {
+		t.Errorf("guard.spent.tuples = %d, want Σ semijoin sizes + Σ join sizes = %d", got, want)
 	}
 }
 

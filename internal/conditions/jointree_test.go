@@ -17,11 +17,11 @@ func TestCheckC4JoinTreeOnReducedAcyclic(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 30; trial++ {
 		raw := gen.Uniform(rng, gen.Schemes(gen.Chain, 4), 5, 3)
-		reduced, err := semijoin.FullReduce(raw)
+		red, err := semijoin.FullReduce(raw, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := database.NewEvaluator(reduced)
+		ev := database.NewEvaluator(red.Database)
 		if ev.Result().Empty() {
 			continue
 		}

@@ -140,45 +140,26 @@ func (a *Analysis) Result(s optimizer.Space) (optimizer.Result, bool) {
 	return optimizer.Result{}, false
 }
 
-// Analyze checks conditions, derives certificates and optimizes in every
-// subspace.
-func Analyze(db *database.Database) (*Analysis, error) {
-	return AnalyzeGuarded(db, nil)
-}
-
-// AnalyzeGuarded is Analyze under resource governance. Every phase —
-// materializing R_D, checking conditions, optimizing each subspace —
-// charges the guard, and a phase that trips a budget is recorded in the
-// returned Analysis's Truncated list while the remaining phases are
-// still attempted (a deadline kills them all quickly; an exhausted
-// tuple budget often still lets the memo-backed phases finish). The
-// analysis fails outright — a nil Analysis and the typed governance
-// error — only when even the condition profile could not be computed,
-// since nothing reportable exists at that point.
+// AnalyzeEvaluator checks conditions, derives certificates and
+// optimizes in every subspace, on a caller-supplied evaluator: the guard
+// and recorder attached to it govern and observe the analysis, and a
+// memo the caller has already filled is reused instead of being
+// recomputed.
 //
-// A nil guard makes it equivalent to Analyze.
-func AnalyzeGuarded(db *database.Database, g *guard.Guard) (*Analysis, error) {
-	return AnalyzeObserved(db, g, nil)
-}
-
-// AnalyzeObserved is AnalyzeGuarded with observability: the recorder
-// (nil-safe) receives begin/end events and a `phase.<name>` wall-time
-// timer per analysis phase, plus every counter the instrumented
-// evaluator and optimizers emit. A nil recorder makes it equivalent to
-// AnalyzeGuarded.
-func AnalyzeObserved(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Analysis, error) {
-	if err := db.Validate(); err != nil {
-		return nil, err
-	}
-	return AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g).WithRecorder(rec))
-}
-
-// AnalyzeEvaluator runs the full analysis against a caller-supplied
-// evaluator — governed by whatever guard and recorder are attached to
-// it — so a memo the caller has already filled is reused instead of
-// being recomputed. This is the entry point the bench pipeline times.
-// The four subspace dynamic programs run one after another on the
-// calling goroutine, each as its own `optimize:<space>` phase.
+// Every phase — materializing R_D, checking conditions, optimizing each
+// subspace — charges the guard, and a phase that trips a budget is
+// recorded in the returned Analysis's Truncated list while the remaining
+// phases are still attempted (a deadline kills them all quickly; an
+// exhausted tuple budget often still lets the memo-backed phases
+// finish). The analysis fails outright — a nil Analysis and the typed
+// governance error — only when even the condition profile could not be
+// computed, since nothing reportable exists at that point.
+//
+// The recorder (nil-safe) receives begin/end events, a span and a
+// `phase.<name>` wall-time timer per analysis phase, plus every counter
+// the instrumented evaluator and optimizers emit. The four subspace
+// dynamic programs run one after another on the calling goroutine, each
+// as its own `optimize:<space>` phase.
 func AnalyzeEvaluator(ev *database.Evaluator) (*Analysis, error) {
 	db := ev.Database()
 	if err := db.Validate(); err != nil {

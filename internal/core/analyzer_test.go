@@ -23,7 +23,7 @@ func hasTheorem(certs []Certificate, th Theorem) bool {
 func TestAnalyzeExample3(t *testing.T) {
 	// C1 holds, C1′ fails: no Theorem 1 certificate — and indeed a
 	// τ-optimum linear strategy uses a Cartesian product.
-	an, err := Analyze(paperex.Example3())
+	an, err := AnalyzeEvaluator(database.NewEvaluator(paperex.Example3()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAnalyzeExample3(t *testing.T) {
 
 func TestAnalyzeExample4(t *testing.T) {
 	// C2 holds, C1 fails: no Theorem 2 certificate; conclusion fails.
-	an, err := Analyze(paperex.Example4())
+	an, err := AnalyzeEvaluator(database.NewEvaluator(paperex.Example4()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAnalyzeExample5(t *testing.T) {
 	// C1 ∧ C2 hold: Theorem 2 certifies no-CP search; C3 fails so
 	// Theorem 3 does not certify, and its conclusion indeed fails.
 	db := paperex.Example5()
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAnalyzeDiagonalCertifiesTheorem3(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 15; trial++ {
 		db := gen.Diagonal(rng, gen.Schemes(gen.Chain, 4), 8, 0.6)
-		an, err := Analyze(db)
+		an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestCertificatesAlwaysHoldOnRandomDatabases(t *testing.T) {
 		if ev.Result().Empty() {
 			continue
 		}
-		an, err := Analyze(db)
+		an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +173,13 @@ func TestCertifyRequiresConnectedAndNonEmpty(t *testing.T) {
 }
 
 func TestAnalyzeRejectsInvalidDatabase(t *testing.T) {
-	if _, err := Analyze(database.New()); err == nil {
+	if _, err := AnalyzeEvaluator(database.NewEvaluator(database.New())); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
 
 func TestAnalysisResultLookup(t *testing.T) {
-	an, err := Analyze(paperex.Example1())
+	an, err := AnalyzeEvaluator(database.NewEvaluator(paperex.Example1()))
 	if err != nil {
 		t.Fatal(err)
 	}

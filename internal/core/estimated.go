@@ -161,7 +161,7 @@ func AnalyzeEstimated(db *database.Database, model PlanModel,
 			States: res.States, TrueTau: -1,
 		})
 	}
-	gres, gerr := optimizer.GreedyModelObserved(db, size, g, rec)
+	gres, gerr := optimizer.GreedyModel(db, size, g, rec)
 	if gerr != nil {
 		return nil, gerr
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestWriteReportExample5(t *testing.T) {
 	db := paperex.Example5()
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestWriteReportExample5(t *testing.T) {
 
 func TestWriteReportNoCertificates(t *testing.T) {
 	db := paperex.Example1() // unconnected: no certificates
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWriteReportEmptyLinearNoCPSubspace(t *testing.T) {
 		relation.FromStrings("R3", "DE", "2 y"),
 		relation.FromStrings("R4", "EF", "y 2"),
 	)
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWriteReportEmptyLinearNoCPSubspace(t *testing.T) {
 
 func TestEncodeAnalysisJSONShape(t *testing.T) {
 	db := paperex.Example4()
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestVerifyCertificatesDetectsTampering(t *testing.T) {
 	// A tampered analysis (claiming a certificate its optima contradict)
 	// must fail verification — the function's whole point.
 	db := paperex.Example4()
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}

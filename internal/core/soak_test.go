@@ -34,7 +34,7 @@ func TestSoakEndToEnd(t *testing.T) {
 		// fails fast with a typed budget error instead of wedging the
 		// suite.
 		g := guard.New(context.Background(), guard.Limits{MaxTuples: 1 << 22, MaxStates: 1 << 20})
-		an, err := AnalyzeGuarded(db, g)
+		an, err := AnalyzeEvaluator(database.NewEvaluator(db).WithGuard(g))
 		if err != nil {
 			t.Fatalf("trial %d: analyze: %v", trial, err)
 		}
@@ -93,7 +93,8 @@ func TestSoakEndToEnd(t *testing.T) {
 		}
 
 		// Reducer invariants where applicable.
-		if reduced, err := semijoin.FullReduce(db); err == nil {
+		if red, err := semijoin.FullReduce(db, nil, nil); err == nil {
+			reduced := red.Database
 			if !semijoin.PairwiseConsistent(reduced) {
 				t.Fatalf("trial %d: reduction inconsistent", trial)
 			}

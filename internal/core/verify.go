@@ -5,6 +5,7 @@ import (
 
 	"multijoin/internal/database"
 	"multijoin/internal/guard"
+	"multijoin/internal/hypergraph"
 	"multijoin/internal/obs"
 	"multijoin/internal/strategy"
 )
@@ -17,28 +18,12 @@ import (
 // meant for the small databases of the randomized validation runs.
 func VerifyTheorem1Exhaustive(ev *database.Evaluator) (err error) {
 	defer guard.Trap(&err)
+	rec := ev.Recorder()
+	defer rec.Timer(obs.MetricVerifyThm1Wall).Start().Stop()
 	db := ev.Database()
 	g := db.Graph()
-	rec := ev.Recorder()
-	cEnum := rec.Counter(obs.MetricVerifyThm1Strategies)
-	defer rec.Timer(obs.MetricVerifyThm1Wall).Start().Stop()
-	best := -1
-	strategy.EnumerateLinear(db.All(), func(n *strategy.Node) bool {
-		cEnum.Inc()
-		if c := n.Cost(ev); best == -1 || c < best {
-			best = c
-		}
-		return true
-	})
-	var bad *strategy.Node
-	strategy.EnumerateLinear(db.All(), func(n *strategy.Node) bool {
-		cEnum.Inc()
-		if n.Cost(ev) == best && n.UsesCartesian(g) {
-			bad = n
-			return false
-		}
-		return true
-	})
+	best, bad := firstOptimum(ev, strategy.EnumerateLinear, rec.Counter(obs.MetricVerifyThm1Strategies),
+		func(n *strategy.Node) bool { return n.UsesCartesian(g) })
 	if bad != nil {
 		rec.Counter(obs.MetricVerifyCounterexamples).Inc()
 		return fmt.Errorf("theorem 1 violated: τ-optimum linear strategy %s (cost %d) uses a Cartesian product",
@@ -51,29 +36,12 @@ func VerifyTheorem1Exhaustive(ev *database.Evaluator) (err error) {
 // some τ-optimum strategy does not use Cartesian products.
 func VerifyTheorem2Exhaustive(ev *database.Evaluator) (err error) {
 	defer guard.Trap(&err)
-	db := ev.Database()
-	g := db.Graph()
 	rec := ev.Recorder()
-	cEnum := rec.Counter(obs.MetricVerifyThm2Strategies)
 	defer rec.Timer(obs.MetricVerifyThm2Wall).Start().Stop()
-	best := -1
-	strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
-		cEnum.Inc()
-		if c := n.Cost(ev); best == -1 || c < best {
-			best = c
-		}
-		return true
-	})
-	found := false
-	strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
-		cEnum.Inc()
-		if n.Cost(ev) == best && !n.UsesCartesian(g) {
-			found = true
-			return false
-		}
-		return true
-	})
-	if !found {
+	g := ev.Database().Graph()
+	best, good := firstOptimum(ev, strategy.EnumerateAll, rec.Counter(obs.MetricVerifyThm2Strategies),
+		func(n *strategy.Node) bool { return !n.UsesCartesian(g) })
+	if good == nil {
 		rec.Counter(obs.MetricVerifyCounterexamples).Inc()
 		return fmt.Errorf("theorem 2 violated: no τ-optimum strategy (cost %d) is Cartesian-product-free", best)
 	}
@@ -84,31 +52,42 @@ func VerifyTheorem2Exhaustive(ev *database.Evaluator) (err error) {
 // some τ-optimum strategy is linear and does not use Cartesian products.
 func VerifyTheorem3Exhaustive(ev *database.Evaluator) (err error) {
 	defer guard.Trap(&err)
-	db := ev.Database()
-	g := db.Graph()
 	rec := ev.Recorder()
-	cEnum := rec.Counter(obs.MetricVerifyThm3Strategies)
 	defer rec.Timer(obs.MetricVerifyThm3Wall).Start().Stop()
+	g := ev.Database().Graph()
+	best, good := firstOptimum(ev, strategy.EnumerateAll, rec.Counter(obs.MetricVerifyThm3Strategies),
+		func(n *strategy.Node) bool { return n.IsLinear() && !n.UsesCartesian(g) })
+	if good == nil {
+		rec.Counter(obs.MetricVerifyCounterexamples).Inc()
+		return fmt.Errorf("theorem 3 violated: no τ-optimum strategy (cost %d) is linear and Cartesian-product-free", best)
+	}
+	return nil
+}
+
+// firstOptimum enumerates the space twice over every relation of the
+// evaluator's database: the first pass fixes the optimal τ, the second
+// stops at the first τ-optimum strategy that satisfies match. It returns
+// the optimal τ and that strategy, or nil when no optimum matches. Each
+// strategy visited in either pass counts in cEnum.
+func firstOptimum(ev *database.Evaluator, enumerate func(hypergraph.Set, func(*strategy.Node) bool),
+	cEnum *obs.Counter, match func(*strategy.Node) bool) (int, *strategy.Node) {
+	all := ev.Database().All()
 	best := -1
-	strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
+	enumerate(all, func(n *strategy.Node) bool {
 		cEnum.Inc()
 		if c := n.Cost(ev); best == -1 || c < best {
 			best = c
 		}
 		return true
 	})
-	found := false
-	strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
+	var hit *strategy.Node
+	enumerate(all, func(n *strategy.Node) bool {
 		cEnum.Inc()
-		if n.Cost(ev) == best && n.IsLinear() && !n.UsesCartesian(g) {
-			found = true
+		if n.Cost(ev) == best && match(n) {
+			hit = n
 			return false
 		}
 		return true
 	})
-	if !found {
-		rec.Counter(obs.MetricVerifyCounterexamples).Inc()
-		return fmt.Errorf("theorem 3 violated: no τ-optimum strategy (cost %d) is linear and Cartesian-product-free", best)
-	}
-	return nil
+	return best, hit
 }

@@ -16,7 +16,7 @@ import (
 // with its intermediates bounded by the output (the Section 5 regime).
 func TestAnalyzeYannakakisResult(t *testing.T) {
 	db := paperex.Example5()
-	an, err := Analyze(db)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAnalyzeCyclicSchemeHasNoYannakakis(t *testing.T) {
 		relation.FromStrings("R2", "BC", "x 7", "y 8"),
 		relation.FromStrings("R3", "CA", "7 1", "8 2"),
 	)
-	an, err := Analyze(tri)
+	an, err := AnalyzeEvaluator(database.NewEvaluator(tri))
 	if err != nil {
 		t.Fatal(err)
 	}

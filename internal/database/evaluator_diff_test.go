@@ -207,8 +207,8 @@ func runEvaluator(db *database.Database, lim guard.Limits) diffRun {
 	ev := database.NewEvaluator(db).WithGuard(g).WithRecorder(rec)
 	return runSequence(db, ev, g, rec,
 		func(space optimizer.Space) (optimizer.Result, error) { return optimizer.Optimize(ev, space) },
-		func() (optimizer.Result, error) { return optimizer.GreedyGuarded(ev) },
-		func() (optimizer.Result, error) { return optimizer.ExhaustiveGuarded(ev) })
+		func() (optimizer.Result, error) { return optimizer.Greedy(ev) },
+		func() (optimizer.Result, error) { return optimizer.Exhaustive(ev) })
 }
 
 // runReference runs the same sequence on the ReferenceEvaluator. The
@@ -235,7 +235,7 @@ func runReference(db *database.Database, lim guard.Limits) diffRun {
 		},
 		func() (res optimizer.Result, err error) {
 			defer guard.Trap(&err)
-			m, err := optimizer.GreedyModelObserved(db, size, g, nil)
+			m, err := optimizer.GreedyModel(db, size, g, nil)
 			if err != nil {
 				return res, err
 			}
@@ -386,7 +386,7 @@ func TestProductPastMaxSizeAborts(t *testing.T) {
 			return err
 		},
 		"Greedy": func(ev *database.Evaluator) error {
-			res, err := optimizer.GreedyGuarded(ev)
+			res, err := optimizer.Greedy(ev)
 			if err == nil {
 				t.Errorf("Greedy returned cost %d", res.Cost)
 			}

@@ -112,7 +112,7 @@ func benchServe(ctx context.Context, w io.Writer) (*ServeBench, error) {
 		if mix.db == 1 {
 			db = paperex.Example1()
 		}
-		body, err := serve.BuildRequestBody(db, mix.tenant, false, false)
+		body, err := serve.BuildRequestBodyMode(db, mix.tenant, false, false, "")
 		if err != nil {
 			return nil, fmt.Errorf("bench serve: %w", err)
 		}

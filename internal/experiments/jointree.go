@@ -60,10 +60,11 @@ func runJoinTree(w io.Writer) Summary {
 			} else {
 				db = gen.Uniform(rng, gen.RandomAcyclicSchemes(rng, 4), 5, 3)
 			}
-			reduced, err := semijoin.FullReduce(db)
+			red, err := semijoin.FullReduce(db, nil, nil)
 			if err != nil {
 				continue
 			}
+			reduced := red.Database
 			ev := database.NewEvaluator(reduced)
 			if !ev.ResultNonEmpty() {
 				continue

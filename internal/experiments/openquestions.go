@@ -74,10 +74,11 @@ func runMonotone(w io.Writer) Summary {
 	counterexamples := 0
 	for t := 0; t < 40; t++ {
 		raw := gen.Uniform(rng, gen.Schemes(gen.Chain, 4), 5, 3)
-		reduced, err := semijoin.FullReduce(raw)
+		red, err := semijoin.FullReduce(raw, nil, nil)
 		if err != nil {
 			continue
 		}
+		reduced := red.Database
 		ev := database.NewEvaluator(reduced)
 		if !ev.ResultNonEmpty() {
 			continue
@@ -249,7 +250,7 @@ func runGreedy(w io.Writer) Summary {
 				if err != nil || best.Cost == 0 {
 					continue
 				}
-				greedy := optimizer.Greedy(ev)
+				greedy, _ := optimizer.Greedy(ev)
 				trials++
 				e.that(greedy.Cost >= best.Cost)
 				ratio := float64(greedy.Cost) / float64(best.Cost)

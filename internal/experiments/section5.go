@@ -79,10 +79,11 @@ func runYannakakis(w io.Writer) Summary {
 		naiveRatio, yannRatio := 0.0, 0.0
 		for t := 0; t < 25; t++ {
 			db := gen.Uniform(rng, gen.Schemes(gen.Chain, n), 8, 6)
-			result, sizes, err := semijoin.Yannakakis(db)
-			if err != nil || result.Empty() {
+			y, err := semijoin.YannakakisGuarded(db, nil, nil)
+			if err != nil || y.Result.Empty() {
 				continue
 			}
+			result, sizes := y.Result, y.JoinSizes
 			ev := database.NewEvaluator(db)
 			// Naive left-to-right evaluation: the intermediates are the
 			// prefix joins R_{0..i}, dangling tuples included.

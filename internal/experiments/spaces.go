@@ -87,7 +87,7 @@ func runSpace(w io.Writer) Summary {
 		}
 		lin, _ := optimizer.Optimize(ev, optimizer.SpaceLinear)
 		nocp, _ := optimizer.Optimize(ev, optimizer.SpaceNoCP)
-		greedy := optimizer.Greedy(ev)
+		greedy, _ := optimizer.Greedy(ev)
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\n",
 			n, strategy.CountAll(n), all.States, lin.States, nocp.States, greedy.States)
 		// DP states are bounded by 2^n while the space is (2n−3)!!.

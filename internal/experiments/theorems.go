@@ -205,10 +205,11 @@ func runC4(w io.Writer) Summary {
 		trials, consistent, c4holds, monotone := 0, 0, 0, 0
 		for t := 0; t < 40; t++ {
 			raw := gen.Uniform(rng, gen.Schemes(shape, 4), 5, 3)
-			reduced, err := semijoin.FullReduce(raw)
+			red, err := semijoin.FullReduce(raw, nil, nil)
 			if err != nil {
 				continue
 			}
+			reduced := red.Database
 			ev := database.NewEvaluator(reduced)
 			if !ev.ResultNonEmpty() {
 				continue

@@ -66,7 +66,7 @@ func TestOptimaTupleBudgetTrips(t *testing.T) {
 
 func TestGreedyGuardedStateBudgetTrips(t *testing.T) {
 	ev, _ := guardedEvaluator(rand.New(rand.NewSource(174)), 6, guard.Limits{MaxStates: 2})
-	_, err := GreedyGuarded(ev)
+	_, err := Greedy(ev)
 	var be *guard.BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("want states budget error, got %v", err)
@@ -75,7 +75,7 @@ func TestGreedyGuardedStateBudgetTrips(t *testing.T) {
 
 func TestGreedyGuardedSucceedsUngoverned(t *testing.T) {
 	db := randomDB(rand.New(rand.NewSource(175)), 5)
-	res, err := GreedyGuarded(database.NewEvaluator(db))
+	res, err := Greedy(database.NewEvaluator(db))
 	if err != nil || res.Strategy == nil {
 		t.Fatalf("ungoverned greedy failed: res=%v err=%v", res, err)
 	}
@@ -91,9 +91,9 @@ func TestGreedyGuardedSucceedsUngoverned(t *testing.T) {
 func TestExhaustiveGuardedStateBudgetTrips(t *testing.T) {
 	db := randomDB(rand.New(rand.NewSource(179)), 4)
 	ev := database.NewEvaluator(db)
-	Exhaustive(ev) // warm the memo ungoverned: 15 strategies for n=4
+	mustExhaustive(t, ev) // warm the memo ungoverned: 15 strategies for n=4
 	g := guard.New(context.Background(), guard.Limits{MaxStates: 5})
-	_, err := ExhaustiveGuarded(ev.WithGuard(g))
+	_, err := Exhaustive(ev.WithGuard(g))
 	var be *guard.BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("want states budget error from the enumeration, got %v", err)
@@ -105,9 +105,9 @@ func TestExhaustiveGuardedStateBudgetTrips(t *testing.T) {
 func TestExhaustiveChargesOnePerStrategy(t *testing.T) {
 	db := randomDB(rand.New(rand.NewSource(181)), 4)
 	ev := database.NewEvaluator(db)
-	Exhaustive(ev)
+	mustExhaustive(t, ev)
 	g := guard.New(context.Background(), guard.Limits{})
-	res, err := ExhaustiveGuarded(ev.WithGuard(g))
+	res, err := Exhaustive(ev.WithGuard(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +119,19 @@ func TestExhaustiveChargesOnePerStrategy(t *testing.T) {
 	}
 }
 
+// mustExhaustive runs Exhaustive on an evaluator whose guard cannot trip.
+func mustExhaustive(t *testing.T, ev *database.Evaluator) Result {
+	t.Helper()
+	res, err := Exhaustive(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestExhaustiveGuardedFaultInjection(t *testing.T) {
 	ev, _ := guardedEvaluator(rand.New(rand.NewSource(176)), 5, guard.Limits{FaultStep: 3})
-	_, err := ExhaustiveGuarded(ev)
+	_, err := Exhaustive(ev)
 	if !errors.Is(err, guard.ErrFaultInjected) {
 		t.Fatalf("want injected fault, got %v", err)
 	}

@@ -90,20 +90,15 @@ func planCounters(rec *obs.Recorder, space Space) [4]*obs.Counter {
 
 // GreedyModel runs the classic smallest-result-first heuristic against
 // the size model instead of the evaluator: every probe is a model
-// lookup, no join is executed. The probe loop is strictly sequential —
-// catalog-backed models reuse scratch buffers and are not safe for
-// concurrent use — and applies the same total tie-break order as
-// Greedy (size, then linked pairs, then lowest indexes), so on a model
-// that equals the exact sizes it picks the same strategy.
-func GreedyModel(db *database.Database, size SizeModel) (ModelResult, error) {
-	return GreedyModelObserved(db, size, nil, nil)
-}
-
-// GreedyModelObserved is GreedyModel under governance and
-// observability: each probed pair charges the guard's state budget
-// (mirrored in plan.greedy.states / plan.states), and the heuristic's
-// wall time lands in plan.greedy.wall. Either g or rec may be nil.
-func GreedyModelObserved(db *database.Database, size SizeModel,
+// lookup, no join is executed. It shares Greedy's strictly sequential
+// probe loop — catalog-backed models reuse scratch buffers and are not
+// safe for concurrent use — and its total tie-break order (size, then
+// linked pairs, then lowest indexes), so on a model that equals the
+// exact sizes it picks the same strategy. Each probed pair charges the
+// guard's state budget (mirrored in plan.greedy.states / plan.states),
+// and the heuristic's wall time lands in plan.greedy.wall. Either g or
+// rec may be nil.
+func GreedyModel(db *database.Database, size SizeModel,
 	g *guard.Guard, rec *obs.Recorder) (res ModelResult, err error) {
 	defer guard.Trap(&err)
 	if err := db.Validate(); err != nil {
@@ -112,41 +107,8 @@ func GreedyModelObserved(db *database.Database, size SizeModel,
 	cStates := rec.Counter(obs.MetricPlanGreedyStates)
 	cStatesAll := rec.Counter(obs.MetricPlanStates)
 	defer rec.Timer(obs.MetricPlanGreedyWall).Start().Stop()
-	graph := db.Graph()
-	pool := make([]*strategy.Node, db.Len())
-	for i := range pool {
-		pool[i] = strategy.Leaf(i)
-	}
-	states, est := 0, 0.0
-	for len(pool) > 1 {
-		var best greedyCand
-		for i := 0; i < len(pool); i++ {
-			for j := i + 1; j < len(pool); j++ {
-				cStates.Inc()
-				cStatesAll.Inc() // before the charge, so a trip still reconciles
-				guard.Must(g.ChargeStates(1))
-				states++
-				a, b := pool[i].Set(), pool[j].Set()
-				c := greedyCand{
-					i: i, j: j,
-					size:   size(a.Union(b)),
-					linked: graph.Linked(a, b),
-					ok:     true,
-				}
-				if c.better(best) {
-					best = c
-				}
-			}
-		}
-		// Each combine's estimated size is counted exactly once, so the
-		// running sum is the model cost of the final tree.
-		est += best.size
-		joined := strategy.Combine(pool[best.i], pool[best.j])
-		pool[best.j] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		pool[best.i] = joined
-	}
-	return ModelResult{Space: SpaceGreedy, Strategy: pool[0], Est: est, States: states}, nil
+	root, est, states := greedyLoop(db, size, g, cStates, cStatesAll)
+	return ModelResult{Space: SpaceGreedy, Strategy: root, Est: est, States: states}, nil
 }
 
 // GreedyEarlyStop is the statistics-free greedy heuristic with early
@@ -160,7 +122,9 @@ func GreedyModelObserved(db *database.Database, size SizeModel,
 // workloads it reaches a τ-optimal plan after a handful of probes.
 //
 // Probing executes joins and charges the evaluator's guard; a budget
-// trip unwinds as a guard abort exactly like Greedy's.
+// trip unwinds as a guard abort. It keeps its own probe loop: folding
+// the empty intermediate inside greedyLoop would make that loop branch
+// on which caller it serves.
 func GreedyEarlyStop(ev *database.Evaluator) Result {
 	db := ev.Database()
 	gd := ev.Guard()

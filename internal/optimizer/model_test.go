@@ -110,8 +110,8 @@ func TestGreedyModelMatchesGreedyOnExactModel(t *testing.T) {
 		dbs = append(dbs, gen.Zipf(rng, gen.Schemes(gen.Chain, 6), 8, 4, 1.4))
 	}
 	for di, db := range dbs {
-		exact := Greedy(database.NewEvaluator(db))
-		res, err := GreedyModel(db, exactModel(database.NewEvaluator(db)))
+		exact := mustGreedy(t, database.NewEvaluator(db))
+		res, err := GreedyModel(db, exactModel(database.NewEvaluator(db)), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestGreedyModelEstIsModelCost(t *testing.T) {
 	rng := rand.New(rand.NewSource(214))
 	db := gen.Uniform(rng, gen.Schemes(gen.Cycle, 5), 7, 3)
 	size := exactModel(database.NewEvaluator(db))
-	res, err := GreedyModel(db, size)
+	res, err := GreedyModel(db, size, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestOptimizeModelNeverExecutes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := GreedyModel(db, size); err != nil {
+	if _, err := GreedyModel(db, size, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
@@ -206,7 +206,7 @@ func TestOptimizeModelGoverned(t *testing.T) {
 func TestGreedyModelGoverned(t *testing.T) {
 	db := paperex.Example5()
 	g := guard.New(context.Background(), guard.Limits{MaxStates: 2})
-	_, err := GreedyModelObserved(db, exactModel(database.NewEvaluator(db)), g, obs.NewRecorder())
+	_, err := GreedyModel(db, exactModel(database.NewEvaluator(db)), g, obs.NewRecorder())
 	var be *guard.BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("want states budget error, got %v", err)
@@ -221,7 +221,7 @@ func TestModelLedgerReconciles(t *testing.T) {
 	if _, err := OptimizeModelObserved(db, exactModel(database.NewEvaluator(db)), SpaceAll, g, rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GreedyModelObserved(db, exactModel(database.NewEvaluator(db)), g, rec); err != nil {
+	if _, err := GreedyModel(db, exactModel(database.NewEvaluator(db)), g, rec); err != nil {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()
@@ -238,7 +238,7 @@ func TestGreedyEarlyStopMatchesGreedyWhenNoEmptyIntermediate(t *testing.T) {
 		// so early stop must coincide with plain greedy.
 		db := gen.Uniform(rng, gen.Schemes(gen.Chain, 5), 10, 2)
 		ev := database.NewEvaluator(db)
-		plain := Greedy(database.NewEvaluator(db))
+		plain := mustGreedy(t, database.NewEvaluator(db))
 		early := GreedyEarlyStop(ev)
 		if plain.Strategy.String() != early.Strategy.String() {
 			t.Fatalf("trial %d: early stop diverged without empty intermediates: %s vs %s",
@@ -268,7 +268,7 @@ func TestGreedyEarlyStopTerminatesEarly(t *testing.T) {
 	if err := early.Strategy.Validate(db.All()); err != nil {
 		t.Fatal(err)
 	}
-	plain := Greedy(database.NewEvaluator(db))
+	plain := mustGreedy(t, database.NewEvaluator(db))
 	if early.Cost != plain.Cost {
 		t.Fatalf("early stop τ %d, greedy τ %d", early.Cost, plain.Cost)
 	}

@@ -55,16 +55,3 @@ func Optima(ev *database.Evaluator, space Space) (out []*strategy.Node, err erro
 	}
 	return out, nil
 }
-
-// UniqueOptimum reports whether the subspace has exactly one τ-optimum
-// strategy, returning it when so.
-func UniqueOptimum(ev *database.Evaluator, space Space) (*strategy.Node, bool, error) {
-	all, err := Optima(ev, space)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(all) == 1 {
-		return all[0], true, nil
-	}
-	return nil, false, nil
-}

@@ -13,18 +13,18 @@ func TestOptimaExample5Unique(t *testing.T) {
 	// "There is only one τ-optimum strategy" (Example 5).
 	db := paperex.Example5()
 	ev := database.NewEvaluator(db)
-	opt, unique, err := UniqueOptimum(ev, SpaceAll)
+	opts, err := Optima(ev, SpaceAll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !unique {
-		t.Fatal("Example 5's optimum should be unique")
+	if len(opts) != 1 {
+		t.Fatalf("Example 5's optimum should be unique, got %d optima", len(opts))
 	}
 	want := strategy.Combine(
 		strategy.Combine(strategy.Leaf(0), strategy.Leaf(1)),
 		strategy.Combine(strategy.Leaf(2), strategy.Leaf(3)))
-	if !opt.Equal(want) {
-		t.Fatalf("unique optimum = %s", opt.Render(db))
+	if !opts[0].Equal(want) {
+		t.Fatalf("unique optimum = %s", opts[0].Render(db))
 	}
 }
 
@@ -38,9 +38,6 @@ func TestOptimaExample3AllThree(t *testing.T) {
 	}
 	if len(opts) != 3 {
 		t.Fatalf("got %d optima, want 3", len(opts))
-	}
-	if _, unique, _ := UniqueOptimum(ev, SpaceAll); unique {
-		t.Fatal("Example 3's optimum is not unique")
 	}
 }
 

@@ -403,31 +403,48 @@ func (c greedyCand) better(o greedyCand) bool {
 // smallest (ties broken toward linked pairs, then lower indexes). It is
 // the cheap baseline the paper's optimizers compete with; it inspects
 // O(n³) joins and offers no optimality guarantee.
-func Greedy(ev *database.Evaluator) Result {
-	db := ev.Database()
-	gd := ev.Guard()
+//
+// Every probe charges one state against the evaluator's guard, and a
+// budget trip or cancellation surfaces as the guard's typed error. It
+// is the last rung of the CLI's degradation ladder (exhaustive → DP →
+// greedy).
+func Greedy(ev *database.Evaluator) (res Result, err error) {
+	defer guard.Trap(&err)
 	rec := ev.Recorder()
 	cStates := rec.Counter(obs.MetricGreedyStates)
 	cStatesAll := rec.Counter(obs.MetricDPStates)
 	defer rec.Timer(obs.MetricGreedyWall).Start().Stop()
+	size := func(s hypergraph.Set) float64 { return float64(ev.Size(s)) }
+	root, _, states := greedyLoop(ev.Database(), size, ev.Guard(), cStates, cStatesAll)
+	return Result{Space: SpaceGreedy, Strategy: root, Cost: root.Cost(ev), States: states}, nil
+}
+
+// greedyLoop is the probe loop Greedy and GreedyModel share. Each round
+// sizes every pair of current results through size, charging one guard
+// state per probe, and combines the best pair under greedyCand's
+// tie-break. cStates and cStatesAll are the caller's per-method and
+// shared state ledgers. It returns the final tree, the sum of the sizes
+// it combined (the tree's cost under size) and the number of probes.
+func greedyLoop(db *database.Database, size SizeModel, gd *guard.Guard,
+	cStates, cStatesAll *obs.Counter) (*strategy.Node, float64, int) {
 	g := db.Graph()
 	pool := make([]*strategy.Node, db.Len())
 	for i := range pool {
 		pool[i] = strategy.Leaf(i)
 	}
-	states := 0
+	states, cost := 0, 0.0
 	for len(pool) > 1 {
-		states += len(pool) * (len(pool) - 1) / 2
 		var best greedyCand
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
 				cStates.Inc()
 				cStatesAll.Inc() // before the charge, so a trip still reconciles
 				guard.Must(gd.ChargeStates(1))
+				states++
 				a, b := pool[i].Set(), pool[j].Set()
 				c := greedyCand{
 					i: i, j: j,
-					size:   float64(ev.Size(a.Union(b))),
+					size:   size(a.Union(b)),
 					linked: g.Linked(a, b),
 					ok:     true,
 				}
@@ -436,13 +453,15 @@ func Greedy(ev *database.Evaluator) Result {
 				}
 			}
 		}
+		// Each combine's size is counted exactly once, so the running
+		// sum is the cost of the final tree.
+		cost += best.size
 		joined := strategy.Combine(pool[best.i], pool[best.j])
 		pool[best.j] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
 		pool[best.i] = joined
 	}
-	root := pool[0]
-	return Result{Space: SpaceGreedy, Strategy: root, Cost: root.Cost(ev), States: states}
+	return pool[0], cost, states
 }
 
 // Exhaustive finds a τ-optimum strategy by enumerating the entire space —
@@ -451,8 +470,10 @@ func Greedy(ev *database.Evaluator) Result {
 //
 // Every enumerated strategy charges one state against the evaluator's
 // guard, so a -max-states budget bounds the (2n−3)!! enumeration itself
-// rather than only the tuple spend of the costings inside it.
-func Exhaustive(ev *database.Evaluator) Result {
+// rather than only the tuple spend of the costings inside it. A budget
+// trip or cancellation surfaces as the guard's typed error.
+func Exhaustive(ev *database.Evaluator) (res Result, err error) {
+	defer guard.Trap(&err)
 	db := ev.Database()
 	gd := ev.Guard()
 	rec := ev.Recorder()
@@ -472,23 +493,7 @@ func Exhaustive(ev *database.Evaluator) Result {
 		}
 		return true
 	})
-	return Result{Space: SpaceExhaustive, Strategy: bestNode, Cost: best, States: count}
-}
-
-// GreedyGuarded is Greedy with the evaluator's resource guard trapped:
-// a budget trip or cancellation surfaces as the guard's typed error
-// instead of unwinding through the caller. It is the last rung of the
-// CLI's degradation ladder (exhaustive → DP → greedy).
-func GreedyGuarded(ev *database.Evaluator) (res Result, err error) {
-	defer guard.Trap(&err)
-	return Greedy(ev), nil
-}
-
-// ExhaustiveGuarded is Exhaustive with the evaluator's resource guard
-// trapped, for callers that need the reference enumeration to fail soft.
-func ExhaustiveGuarded(ev *database.Evaluator) (res Result, err error) {
-	defer guard.Trap(&err)
-	return Exhaustive(ev), nil
+	return Result{Space: SpaceExhaustive, Strategy: bestNode, Cost: best, States: count}, nil
 }
 
 // Systems names the production optimizers the paper's Section 1 places

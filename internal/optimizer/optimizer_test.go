@@ -250,7 +250,7 @@ func TestSpaceContainments(t *testing.T) {
 func TestGreedy(t *testing.T) {
 	db := paperex.Example1()
 	ev := database.NewEvaluator(db)
-	res := Greedy(ev)
+	res := mustGreedy(t, ev)
 	if res.Space != SpaceGreedy {
 		t.Fatalf("greedy labeled its result %v, want %v", res.Space, SpaceGreedy)
 	}
@@ -289,12 +289,22 @@ func TestGreedyLinkedTieBreak(t *testing.T) {
 		!g.Linked(hypergraph.Singleton(0), hypergraph.Singleton(2)) {
 		t.Fatal("fixture broken: (R0,R1) must be unlinked and (R0,R2) linked")
 	}
-	res := Greedy(ev)
+	res := mustGreedy(t, ev)
 	want := strategy.Combine(strategy.Combine(strategy.Leaf(0), strategy.Leaf(2)), strategy.Leaf(1))
 	if !res.Strategy.Equal(want) {
 		t.Fatalf("greedy chose %s, want the linked pair first: %s",
 			res.Strategy.Render(db), want.Render(db))
 	}
+}
+
+// mustGreedy runs Greedy on an evaluator whose guard cannot trip.
+func mustGreedy(t *testing.T, ev *database.Evaluator) Result {
+	t.Helper()
+	res, err := Greedy(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestOptimizeRejectsMethodLabels(t *testing.T) {
@@ -325,7 +335,10 @@ func TestExhaustiveMatchesDP(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		db := randomDB(rng, 4)
 		ev := database.NewEvaluator(db)
-		ex := Exhaustive(ev)
+		ex, err := Exhaustive(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ex.Space != SpaceExhaustive {
 			t.Fatalf("exhaustive labeled its result %v, want %v", ex.Space, SpaceExhaustive)
 		}

@@ -134,7 +134,7 @@ func TestGreedyAlwaysSound(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		db := randomDB(rng, 4+rng.Intn(3))
 		ev := database.NewEvaluator(db)
-		g := Greedy(ev)
+		g := mustGreedy(t, ev)
 		if err := g.Strategy.Validate(db.All()); err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestFullReduceGuardedLedgerEqualsSizes(t *testing.T) {
 	db := chainDB()
 	g := guard.New(context.Background(), guard.Limits{})
 	rec := obs.NewRecorder()
-	red, err := FullReduceGuarded(db, g, rec)
+	red, err := FullReduce(db, g, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFullReduceGuardedTripsMidReduction(t *testing.T) {
 	db := chainDB()
 	// Ungoverned run first to learn the full program's sizes; the budget
 	// is set strictly inside the total so the trip lands mid-program.
-	full, err := FullReduceGuarded(db, nil, nil)
+	full, err := FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFullReduceGuardedTripsMidReduction(t *testing.T) {
 	}
 	g := guard.New(context.Background(), guard.Limits{MaxTuples: int64(total - 1)})
 	rec := obs.NewRecorder()
-	_, err = FullReduceGuarded(db, g, rec)
+	_, err = FullReduce(db, g, rec)
 	if err == nil {
 		t.Fatal("budget inside the program total did not trip")
 	}
@@ -190,7 +190,7 @@ func TestReduceToConsistencyGuardedBudget(t *testing.T) {
 		relation.FromStrings("R3", "CA", "7 1", "9 5"),
 	)
 	g := guard.New(context.Background(), guard.Limits{MaxStates: 1})
-	_, err := ReduceToConsistencyGuarded(cyc, g, nil)
+	_, err := ReduceToConsistency(cyc, g, nil)
 	if err == nil {
 		t.Fatal("state budget of 1 did not trip the fixpoint loop")
 	}
@@ -214,7 +214,7 @@ func TestReduceToConsistencyGuardedDeadline(t *testing.T) {
 		relation.FromStrings("R3", "CA", "7 1", "9 5"),
 	)
 	g := guard.New(ctx, guard.Limits{})
-	_, err := ReduceToConsistencyGuarded(cyc, g, nil)
+	_, err := ReduceToConsistency(cyc, g, nil)
 	if err == nil {
 		t.Fatal("dead context did not stop the fixpoint loop")
 	}
@@ -232,7 +232,7 @@ func TestReduceToConsistencyGuardedPassCounter(t *testing.T) {
 		relation.FromStrings("R3", "CA", "7 1", "9 5"),
 	)
 	rec := obs.NewRecorder()
-	out, err := ReduceToConsistencyGuarded(cyc, nil, rec)
+	out, err := ReduceToConsistency(cyc, nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

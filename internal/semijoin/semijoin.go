@@ -10,9 +10,9 @@
 // and joins charge guard.ChargeEval with the result size, consistency
 // fixpoint passes charge guard.ChargeStates, and every charge is
 // mirrored into the plan.yannakakis.* obs counters so the guard ledger
-// and the metrics reconcile exactly even on budget-tripped runs. The
-// ungoverned entry points (FullReduce, Yannakakis, ReduceToConsistency)
-// are thin wrappers over the governed ones with a nil guard.
+// and the metrics reconcile exactly even on budget-tripped runs. Each
+// operation has one entry point, which takes the guard and the recorder
+// explicitly; either may be nil.
 package semijoin
 
 import (
@@ -257,9 +257,23 @@ func reduceTree(states []*relation.Relation, t Tree, o *ops, sizes []int) ([]int
 	return sizes, nil
 }
 
-// reduceAll fully reduces every component of the database along its
-// join tree under the guard.
-func reduceAll(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Reduction, error) {
+// FullReduce runs the Bernstein–Chiu full-reducer semijoin program on a
+// component-wise α-acyclic database under resource governance: along
+// each connected component's join tree, a leaves-to-root sweep of
+// semijoins followed by a root-to-leaves sweep. The trees are computed
+// once and carried in the result, so the Yannakakis join phase walks the
+// very same trees. Components share no attributes, so semijoins across
+// them would be vacuous and none is issued. The reduced database is
+// pairwise consistent and has the same full join R_D; the input database
+// is not modified. Every semijoin charges the guard with its result size
+// — a tripped budget surfaces as the typed governance error with the
+// ledger equal to the sizes of the semijoins actually performed. An
+// empty database or a cyclic component yields ErrNotAcyclic. Both g and
+// rec may be nil.
+func FullReduce(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Reduction, error) {
+	if db.Len() == 0 {
+		return nil, ErrNotAcyclic
+	}
 	trees, err := treesFor(db)
 	if err != nil {
 		return nil, err
@@ -286,52 +300,6 @@ func reduceAll(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Reduc
 		Sizes:     sizes,
 		Semijoins: len(sizes),
 	}, nil
-}
-
-// FullReduceGuarded runs the Bernstein–Chiu full-reducer semijoin
-// program on an α-acyclic connected database under resource governance:
-// a leaves-to-root sweep of semijoins followed by a root-to-leaves
-// sweep along a join tree computed once and carried in the result, so
-// the Yannakakis join phase walks the very same tree. The reduced
-// database is pairwise consistent and has the same full join R_D; the
-// input database is not modified. Every semijoin charges the guard with
-// its result size — a tripped budget surfaces as the typed governance
-// error with the ledger equal to the sizes of the semijoins actually
-// performed. Both g and rec may be nil.
-func FullReduceGuarded(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Reduction, error) {
-	if db.Len() == 0 || !db.Connected() {
-		return nil, ErrNotAcyclic
-	}
-	return reduceAll(db, g, rec)
-}
-
-// FullReduceComponentsGuarded extends FullReduceGuarded to unconnected
-// schemes: each connected component is fully reduced independently
-// along its own join tree (components share no attributes, so semijoins
-// across them are vacuous). Every component must be α-acyclic; a cyclic
-// component yields ErrNotAcyclic.
-func FullReduceComponentsGuarded(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Reduction, error) {
-	return reduceAll(db, g, rec)
-}
-
-// FullReduce is the ungoverned form of FullReduceGuarded, returning
-// just the reduced database.
-func FullReduce(db *database.Database) (*database.Database, error) {
-	red, err := FullReduceGuarded(db, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return red.Database, nil
-}
-
-// FullReduceComponents is the ungoverned form of
-// FullReduceComponentsGuarded, returning just the reduced database.
-func FullReduceComponents(db *database.Database) (*database.Database, error) {
-	red, err := FullReduceComponentsGuarded(db, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return red.Database, nil
 }
 
 // treeStrategy derives the binary strategy the join phase follows for
@@ -443,30 +411,14 @@ func evaluate(red *Reduction, g *guard.Guard, rec *obs.Recorder) (*Evaluation, e
 func YannakakisGuarded(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Evaluation, error) {
 	watch := rec.Timer(obs.MetricYannakakisWall).Start()
 	defer watch.Stop()
-	red, err := FullReduceComponentsGuarded(db, g, rec)
+	red, err := FullReduce(db, g, rec)
 	if err != nil {
 		return nil, err
 	}
 	return evaluate(red, g, rec)
 }
 
-// Yannakakis evaluates the full join of an α-acyclic connected database
-// by fully reducing it and then joining bottom-up along the reduction's
-// own join tree. It returns the result and the sizes of the
-// intermediate results (one per join step, in evaluation order).
-func Yannakakis(db *database.Database) (*relation.Relation, []int, error) {
-	red, err := FullReduceGuarded(db, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := evaluate(red, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ev.Result, ev.JoinSizes, nil
-}
-
-// ReduceToConsistencyGuarded makes any database pairwise consistent by
+// ReduceToConsistency makes any database pairwise consistent by
 // iterating semijoins between every linked pair to a fixpoint — a
 // general (not acyclicity-requiring) reducer used to prepare C4
 // experiment inputs on cyclic schemes. Unlike a full reducer it does
@@ -474,8 +426,8 @@ func Yannakakis(db *database.Database) (*relation.Relation, []int, error) {
 // consistency. The pass count is data-dependent and unbounded a priori,
 // so every pass charges one guard state and polls the deadline, and
 // every semijoin charges its result size: adversarial inputs trip the
-// budget instead of iterating ungoverned.
-func ReduceToConsistencyGuarded(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*database.Database, error) {
+// budget instead of iterating ungoverned. Both g and rec may be nil.
+func ReduceToConsistency(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*database.Database, error) {
 	o := newOps(g, rec)
 	cPasses := rec.Counter(obs.MetricYannakakisPasses)
 	states := make([]*relation.Relation, db.Len())
@@ -514,13 +466,6 @@ func ReduceToConsistencyGuarded(db *database.Database, g *guard.Guard, rec *obs.
 		named[i] = r.WithName(db.Relation(i).Name())
 	}
 	return database.New(named...), nil
-}
-
-// ReduceToConsistency is the ungoverned form of
-// ReduceToConsistencyGuarded (a nil guard never trips).
-func ReduceToConsistency(db *database.Database) *database.Database {
-	out, _ := ReduceToConsistencyGuarded(db, nil, nil)
-	return out
 }
 
 // SemijoinProgramSize reports the number of semijoins a full reducer

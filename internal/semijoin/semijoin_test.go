@@ -43,10 +43,11 @@ func TestPairwiseConsistent(t *testing.T) {
 
 func TestFullReduce(t *testing.T) {
 	db := chainDB()
-	reduced, err := FullReduce(db)
+	red, err := FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reduced := red.Database
 	if !PairwiseConsistent(reduced) {
 		t.Fatal("full reduction must yield pairwise consistency")
 	}
@@ -74,25 +75,35 @@ func TestFullReduceErrorsOnCyclicOrUnconnected(t *testing.T) {
 		relation.FromStrings("R2", "BC", "x 7"),
 		relation.FromStrings("R3", "CA", "7 1"),
 	)
-	if _, err := FullReduce(cyc); !errors.Is(err, ErrNotAcyclic) {
+	if _, err := FullReduce(cyc, nil, nil); !errors.Is(err, ErrNotAcyclic) {
 		t.Fatalf("want ErrNotAcyclic, got %v", err)
 	}
+	if _, err := FullReduce(database.New(), nil, nil); !errors.Is(err, ErrNotAcyclic) {
+		t.Fatalf("empty database: want ErrNotAcyclic, got %v", err)
+	}
+	// An unconnected acyclic scheme reduces component by component.
 	unconn := database.New(
-		relation.FromStrings("R1", "AB", "1 x"),
-		relation.FromStrings("R2", "CD", "7 p"),
+		relation.FromStrings("R1", "AB", "1 x", "2 y"),
+		relation.FromStrings("R2", "BC", "x 7"),
+		relation.FromStrings("R3", "DE", "7 p"),
 	)
-	if _, err := FullReduce(unconn); !errors.Is(err, ErrNotAcyclic) {
-		t.Fatalf("want ErrNotAcyclic, got %v", err)
+	red, err := FullReduce(unconn, nil, nil)
+	if err != nil {
+		t.Fatalf("unconnected acyclic scheme: %v", err)
+	}
+	if len(red.Trees) != 2 || red.Database.Relation(0).Size() != 1 {
+		t.Fatalf("want two trees and R1 reduced to 1 row, got %d trees, %d rows",
+			len(red.Trees), red.Database.Relation(0).Size())
 	}
 }
 
 func TestFullReduceSingleRelation(t *testing.T) {
 	db := database.New(relation.FromStrings("R", "AB", "1 x"))
-	out, err := FullReduce(db)
+	red, err := FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Relation(0).Equal(db.Relation(0)) {
+	if !red.Database.Relation(0).Equal(db.Relation(0)) {
 		t.Fatal("single relation should be unchanged")
 	}
 }
@@ -101,10 +112,11 @@ func TestFullReduceRandomizedInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
 		db := gen.Uniform(rng, gen.Schemes(gen.Chain, 2+rng.Intn(4)), 5, 3)
-		reduced, err := FullReduce(db)
+		red, err := FullReduce(db, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reduced := red.Database
 		if !PairwiseConsistent(reduced) {
 			t.Fatalf("trial %d: not pairwise consistent", trial)
 		}
@@ -130,10 +142,11 @@ func TestReducedAcyclicSatisfiesC4(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 50; trial++ {
 		db := gen.Uniform(rng, gen.Schemes(gen.Chain, 4), 5, 3)
-		reduced, err := FullReduce(db)
+		red, err := FullReduce(db, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reduced := red.Database
 		ev := database.NewEvaluator(reduced)
 		if ev.Result().Empty() {
 			continue
@@ -150,10 +163,11 @@ func TestReducedAcyclicSatisfiesC4(t *testing.T) {
 
 func TestYannakakis(t *testing.T) {
 	db := chainDB()
-	result, sizes, err := Yannakakis(db)
+	ev, err := YannakakisGuarded(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	result, sizes := ev.Result, ev.JoinSizes
 	naive := database.NewEvaluator(db).Result()
 	if !result.Equal(naive) {
 		t.Fatalf("Yannakakis result differs: %v vs %v", result, naive)
@@ -173,10 +187,11 @@ func TestYannakakisRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
 		db := gen.Uniform(rng, gen.Schemes(gen.Chain, 3+rng.Intn(3)), 6, 3)
-		result, sizes, err := Yannakakis(db)
+		ev, err := YannakakisGuarded(db, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		result, sizes := ev.Result, ev.JoinSizes
 		naive := database.NewEvaluator(db).Result()
 		if !result.Equal(naive) {
 			t.Fatalf("trial %d: result mismatch", trial)
@@ -195,7 +210,7 @@ func TestYannakakisErrorsOnCyclic(t *testing.T) {
 		relation.FromStrings("R2", "BC", "x 7"),
 		relation.FromStrings("R3", "CA", "7 1"),
 	)
-	if _, _, err := Yannakakis(cyc); !errors.Is(err, ErrNotAcyclic) {
+	if _, err := YannakakisGuarded(cyc, nil, nil); !errors.Is(err, ErrNotAcyclic) {
 		t.Fatalf("want ErrNotAcyclic, got %v", err)
 	}
 }
@@ -207,7 +222,10 @@ func TestReduceToConsistency(t *testing.T) {
 		relation.FromStrings("R2", "BC", "x 7", "z 8"),
 		relation.FromStrings("R3", "CA", "7 1", "9 5"),
 	)
-	out := ReduceToConsistency(cyc)
+	out, err := ReduceToConsistency(cyc, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !PairwiseConsistent(out) {
 		t.Fatal("expected pairwise consistency")
 	}
@@ -245,10 +263,11 @@ func TestFullReduceComponents(t *testing.T) {
 		relation.FromStrings("R3", "DE", "d1 e1", "d2 e2"),
 		relation.FromStrings("R4", "EF", "e1 f1"),
 	)
-	reduced, err := FullReduceComponents(db)
+	red, err := FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reduced := red.Database
 	if !PairwiseConsistent(reduced) {
 		t.Fatal("components must be pairwise consistent after reduction")
 	}
@@ -264,18 +283,25 @@ func TestFullReduceComponents(t *testing.T) {
 	}
 }
 
+// TestFullReduceComponentsConnectedDelegates: on a connected scheme the
+// component-wise reduction is one tree over every relation, and
+// YannakakisGuarded reduces along exactly that tree.
 func TestFullReduceComponentsConnectedDelegates(t *testing.T) {
 	db := chainDB()
-	a, err := FullReduceComponents(db)
+	a, err := FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FullReduce(db)
+	if len(a.Trees) != 1 || len(a.Trees[0].Order) != db.Len() || a.Semijoins != 2*(db.Len()-1) {
+		t.Fatalf("connected scheme: %d trees, %d semijoins", len(a.Trees), a.Semijoins)
+	}
+	ev, err := YannakakisGuarded(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := ev.Reduction
 	for i := 0; i < db.Len(); i++ {
-		if !a.Relation(i).Equal(b.Relation(i)) {
+		if !a.Database.Relation(i).Equal(b.Database.Relation(i)) {
 			t.Fatal("component path must match connected path")
 		}
 	}
@@ -288,7 +314,7 @@ func TestFullReduceComponentsCyclicComponentFails(t *testing.T) {
 		relation.FromStrings("R3", "CA", "7 1"),
 		relation.FromStrings("R4", "DE", "d e"),
 	)
-	if _, err := FullReduceComponents(db); !errors.Is(err, ErrNotAcyclic) {
+	if _, err := FullReduce(db, nil, nil); !errors.Is(err, ErrNotAcyclic) {
 		t.Fatalf("want ErrNotAcyclic, got %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // relation, five attributes each.
 func cliqueBody(t testing.TB) []byte {
 	db := gen.Uniform(rand.New(rand.NewSource(7)), gen.Schemes(gen.Clique, 5), 250, 50)
-	body, err := BuildRequestBody(db, "", true, false)
+	body, err := BuildRequestBodyMode(db, "", true, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestChaosSuite(t *testing.T) {
 	var cases []LoadCase
 	for _, tenant := range []string{"burst", "standard", "free"} {
 		for _, db := range []*database.Database{paperex.Example1(), paperex.Example5()} {
-			body, err := BuildRequestBody(db, tenant, tenant == "standard", false)
+			body, err := BuildRequestBodyMode(db, tenant, tenant == "standard", false, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestChaosSuite(t *testing.T) {
 	// 64 workers against the 2-slot burst class still shed constantly,
 	// and those 429s must come back fast — the shed path does no
 	// planning work.
-	burstBody, err := BuildRequestBody(paperex.Example5(), "burst", false, false)
+	burstBody, err := BuildRequestBodyMode(paperex.Example5(), "burst", false, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}

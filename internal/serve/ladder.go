@@ -283,7 +283,7 @@ func planRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) 
 		return yannakakisRung(req, g, out)
 
 	case RungGreedy:
-		res, err := optimizer.GreedyGuarded(req.ev)
+		res, err := optimizer.Greedy(req.ev)
 		if err != nil {
 			return err
 		}

@@ -84,16 +84,11 @@ func (d ClientDoer) Do(ctx context.Context, method, path string, body []byte) (*
 	return &DoResult{Status: res.StatusCode, RetryAfter: res.Header.Get("Retry-After"), Body: b}, nil
 }
 
-// BuildRequestBody encodes a ready-to-send request body for the given
-// database — the helper cmd/joinload, the chaos suite and the bench
-// pipeline all build their mixes with.
-func BuildRequestBody(db *database.Database, tenant string, execute, noCache bool) ([]byte, error) {
-	return BuildRequestBodyMode(db, tenant, execute, noCache, "")
-}
-
-// BuildRequestBodyMode is BuildRequestBody with an explicit plan mode
-// ("" or "exact" for exact planning, "estimate"/"histogram" for the
-// statistics-driven fast path).
+// BuildRequestBodyMode encodes a ready-to-send request body for the
+// given database under a plan mode ("" or "exact" for exact planning,
+// "estimate"/"histogram" for the statistics-driven fast path) — the
+// helper cmd/joinload, the chaos suite and the bench pipeline all build
+// their mixes with.
 func BuildRequestBodyMode(db *database.Database, tenant string, execute, noCache bool, planMode string) ([]byte, error) {
 	var dbJSON bytes.Buffer
 	if err := database.EncodeJSON(&dbJSON, db); err != nil {

@@ -37,7 +37,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, HandlerDoer, *obs.Recorde
 // mustBody builds a request body for a paper example.
 func mustBody(t *testing.T, tenant string, execute, noCache bool) []byte {
 	t.Helper()
-	body, err := BuildRequestBody(paperex.Example1(), tenant, execute, noCache)
+	body, err := BuildRequestBodyMode(paperex.Example1(), tenant, execute, noCache, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCacheInvalidatedByDataChange(t *testing.T) {
 
 	// A different database (another example) must miss: its fingerprint
 	// differs in both shape and stats.
-	body2, err := BuildRequestBody(paperex.Example5(), "standard", false, false)
+	body2, err := BuildRequestBodyMode(paperex.Example5(), "standard", false, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestDeadlineRequestGetsTypedError(t *testing.T) {
 
 func TestDefaultTenantIsStandard(t *testing.T) {
 	_, doer, _ := newTestServer(t, Config{})
-	body, err := BuildRequestBody(paperex.Example1(), "", false, false)
+	body, err := BuildRequestBodyMode(paperex.Example1(), "", false, false, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestPremiumAnswersAtDP(t *testing.T) {
 		for n := 5; n <= 7; n++ {
 			name := fmt.Sprintf("%v%d", shape, n)
 			db := gen.Uniform(rng, gen.Schemes(shape, n), 12, 6)
-			body, err := BuildRequestBody(db, "premium", true, true)
+			body, err := BuildRequestBodyMode(db, "premium", true, true, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +375,10 @@ func TestPremiumAnswersAtDP(t *testing.T) {
 			if out.Rung != "dp" || out.Degraded {
 				t.Errorf("%s: answered at %q (degraded %v), want dp", name, out.Rung, out.Degraded)
 			}
-			want := optimizer.Exhaustive(database.NewEvaluator(db))
+			want, err := optimizer.Exhaustive(database.NewEvaluator(db))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if out.Plan.Cost != int64(want.Cost) {
 				t.Errorf("%s: plan.cost %d, want the exhaustive optimum %d", name, out.Plan.Cost, want.Cost)
 			}

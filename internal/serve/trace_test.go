@@ -251,7 +251,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // root recorder once the request finishes.
 func TestAbsorbKeepsProcessTotals(t *testing.T) {
 	_, doer, rec := newTestServer(t, Config{})
-	body, err := BuildRequestBody(paperex.Example1(), "standard", true, true)
+	body, err := BuildRequestBodyMode(paperex.Example1(), "standard", true, true, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,14 +160,17 @@ const (
 // the scheme.
 var ErrEmptySpace = optimizer.ErrEmptySpace
 
-// Optimize returns a τ-optimum strategy within the subspace.
+// Optimize returns a τ-optimum strategy within the subspace. On a
+// guard-carrying evaluator the search charges the guard's budgets and a
+// trip returns its typed error.
 func Optimize(ev *Evaluator, space SearchSpace) (OptimizeResult, error) {
 	return optimizer.Optimize(ev, space)
 }
 
-// GreedySmallestResult runs the classic smallest-intermediate-result
-// heuristic.
-func GreedySmallestResult(ev *Evaluator) OptimizeResult { return optimizer.Greedy(ev) }
+// Greedy runs the classic smallest-intermediate-result heuristic with
+// the evaluator's guard trapped, so a trip returns its typed error — the
+// last rung of the degradation ladder exhaustive → DP → greedy.
+func Greedy(ev *Evaluator) (OptimizeResult, error) { return optimizer.Greedy(ev) }
 
 // Analyzer (the paper's contribution, packaged).
 type (
@@ -189,8 +192,13 @@ const (
 )
 
 // Analyze checks the conditions, derives theorem certificates and
-// optimizes in every applicable subspace.
-func Analyze(db *Database) (*Analysis, error) { return core.Analyze(db) }
+// optimizes in every applicable subspace, on the evaluator's memo and
+// under its guard and recorder. Phases that trip a budget are recorded
+// in the Analysis's Truncated list; the analysis fails outright only
+// when not even the condition profile could be computed. Phase
+// begin/end events, per-phase wall timers, and every evaluator and
+// optimizer counter flow into the recorder.
+func Analyze(ev *Evaluator) (*Analysis, error) { return core.AnalyzeEvaluator(ev) }
 
 // VerifyCertificates cross-checks an analysis's certificates against its
 // measured optima; nil means the theorems held on this instance.
@@ -236,21 +244,6 @@ func AllJoinsOnSuperkeys(db *Database, fds []FD) bool { return fd.AllJoinsOnSupe
 // consistent.
 func PairwiseConsistent(db *Database) bool { return semijoin.PairwiseConsistent(db) }
 
-// FullReduce runs the Bernstein–Chiu full reducer on an α-acyclic
-// connected database.
-func FullReduce(db *Database) (*Database, error) { return semijoin.FullReduce(db) }
-
-// FullReduceComponents runs the full reducer component-wise, so
-// unconnected-but-acyclic schemes reduce instead of erroring.
-func FullReduceComponents(db *Database) (*Database, error) {
-	return semijoin.FullReduceComponents(db)
-}
-
-// Yannakakis evaluates an α-acyclic connected database by full reduction
-// plus join-tree joins, returning the result and per-step intermediate
-// sizes.
-func Yannakakis(db *Database) (*Relation, []int, error) { return semijoin.Yannakakis(db) }
-
 // Acyclic fast path, governed.
 type (
 	// SemijoinReduction is a governed full reduction's outcome: the
@@ -262,10 +255,18 @@ type (
 	YannakakisEvaluation = semijoin.Evaluation
 )
 
-// YannakakisGuarded runs the acyclic fast path — component-wise full
-// reduction then a bottom-up join along the same trees — under resource
+// FullReduce runs the Bernstein–Chiu full reducer on a component-wise
+// α-acyclic database, one join tree per component, so
+// unconnected-but-acyclic schemes reduce too. Every semijoin charges the
+// guard; either g or rec may be nil.
+func FullReduce(db *Database, g *Guard, rec *Recorder) (*SemijoinReduction, error) {
+	return semijoin.FullReduce(db, g, rec)
+}
+
+// Yannakakis runs the acyclic fast path — component-wise full reduction
+// then a bottom-up join along the same trees — under resource
 // governance and observability. Either g or rec may be nil.
-func YannakakisGuarded(db *Database, g *Guard, rec *Recorder) (*YannakakisEvaluation, error) {
+func Yannakakis(db *Database, g *Guard, rec *Recorder) (*YannakakisEvaluation, error) {
 	return semijoin.YannakakisGuarded(db, g, rec)
 }
 
@@ -400,27 +401,6 @@ func NewGuard(ctx context.Context, lim GuardLimits) *Guard { return guard.New(ct
 // failure; callers use it to pick a degradation path.
 func Tripped(err error) bool { return guard.Tripped(err) }
 
-// AnalyzeGuarded is Analyze under resource governance: phases that trip
-// a budget are recorded in the Analysis's Truncated list, and the
-// analysis fails outright only when not even the condition profile could
-// be computed. A nil guard makes it equivalent to Analyze.
-func AnalyzeGuarded(db *Database, g *Guard) (*Analysis, error) {
-	return core.AnalyzeGuarded(db, g)
-}
-
-// OptimizeGuarded is Optimize on a guard-carrying evaluator: the search
-// charges the guard's budgets and a trip returns its typed error.
-func OptimizeGuarded(ev *Evaluator, space SearchSpace) (OptimizeResult, error) {
-	return optimizer.Optimize(ev, space)
-}
-
-// GreedyGuarded runs the smallest-result heuristic with the evaluator's
-// guard trapped — the last rung of the degradation ladder
-// exhaustive → DP → greedy.
-func GreedyGuarded(ev *Evaluator) (OptimizeResult, error) {
-	return optimizer.GreedyGuarded(ev)
-}
-
 // Observability: metrics, structured tracing and profiling hooks.
 type (
 	// Recorder is the engine's nil-safe observability sink: named
@@ -444,17 +424,3 @@ type (
 // evaluator with Evaluator.WithRecorder; every instrumented engine path
 // then feeds it.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
-
-// AnalyzeObserved is AnalyzeGuarded with observability: phase begin/end
-// events, per-phase wall timers, and every evaluator and optimizer
-// counter flow into rec. Either g or rec may be nil.
-func AnalyzeObserved(db *Database, g *Guard, rec *Recorder) (*Analysis, error) {
-	return core.AnalyzeObserved(db, g, rec)
-}
-
-// AnalyzeEvaluator runs the full analysis on a caller-supplied
-// evaluator, reusing its memo, guard and recorder, so sets it has
-// already sized are not recomputed.
-func AnalyzeEvaluator(ev *Evaluator) (*Analysis, error) {
-	return core.AnalyzeEvaluator(ev)
-}

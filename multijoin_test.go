@@ -36,7 +36,7 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 
 func TestPublicAPIAnalyzeExample5(t *testing.T) {
 	db := multijoin.ExampleDatabase(5)
-	an, err := multijoin.Analyze(db)
+	an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +126,19 @@ func TestPublicAPISemijoinAndSetops(t *testing.T) {
 	if multijoin.PairwiseConsistent(db) {
 		t.Fatal("dangling tuple should break consistency")
 	}
-	reduced, err := multijoin.FullReduce(db)
+	red, err := multijoin.FullReduce(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !multijoin.PairwiseConsistent(reduced) {
+	if !multijoin.PairwiseConsistent(red.Database) {
 		t.Fatal("reduction must restore consistency")
 	}
-	result, sizes, err := multijoin.Yannakakis(db)
+	y, err := multijoin.Yannakakis(db, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.Size() != 1 || len(sizes) != 1 {
-		t.Fatalf("yannakakis: %v, %v", result, sizes)
+	if y.Result.Size() != 1 || len(y.JoinSizes) != 1 {
+		t.Fatalf("yannakakis: %v, %v", y.Result, y.JoinSizes)
 	}
 
 	a := multijoin.RelationFromStrings("A", "X", "1", "2")
@@ -177,8 +177,8 @@ func TestPublicAPIEnumerate(t *testing.T) {
 func TestPublicAPIGreedy(t *testing.T) {
 	db := multijoin.ExampleDatabase(1)
 	ev := multijoin.NewEvaluator(db)
-	res := multijoin.GreedySmallestResult(ev)
-	if res.Strategy == nil {
+	res, err := multijoin.Greedy(ev)
+	if err != nil || res.Strategy == nil {
 		t.Fatal("greedy returned nothing")
 	}
 	all, err := multijoin.Optimize(ev, multijoin.SpaceAll)
@@ -206,7 +206,7 @@ func TestPublicAPIResourceGovernance(t *testing.T) {
 	// Generous budgets: analysis completes and is marked complete.
 	g := multijoin.NewGuard(context.Background(),
 		multijoin.GuardLimits{MaxTuples: 1 << 20, MaxStates: 1 << 20})
-	an, err := multijoin.AnalyzeGuarded(db, g)
+	an, err := multijoin.Analyze(multijoin.NewEvaluator(db).WithGuard(g))
 	if err != nil || !an.Complete() {
 		t.Fatalf("governed analysis failed: err=%v truncated=%v", err, an.Truncated)
 	}
@@ -216,7 +216,7 @@ func TestPublicAPIResourceGovernance(t *testing.T) {
 
 	// A one-tuple budget trips with the exported sentinel and typed error.
 	tight := multijoin.NewGuard(context.Background(), multijoin.GuardLimits{MaxTuples: 1})
-	_, err = multijoin.AnalyzeGuarded(db, tight)
+	_, err = multijoin.Analyze(multijoin.NewEvaluator(db).WithGuard(tight))
 	if !errors.Is(err, multijoin.ErrBudgetExceeded) || !multijoin.Tripped(err) {
 		t.Fatalf("want exported budget sentinel, got %v", err)
 	}
@@ -227,17 +227,17 @@ func TestPublicAPIResourceGovernance(t *testing.T) {
 
 	// Guarded optimize and greedy on a governed evaluator.
 	ev := multijoin.NewEvaluator(db).WithGuard(multijoin.NewGuard(context.Background(), multijoin.GuardLimits{}))
-	if _, err := multijoin.OptimizeGuarded(ev, multijoin.SpaceAll); err != nil {
+	if _, err := multijoin.Optimize(ev, multijoin.SpaceAll); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multijoin.GreedyGuarded(ev); err != nil {
+	if _, err := multijoin.Greedy(ev); err != nil {
 		t.Fatal(err)
 	}
 
 	// A cancelled context aborts the analysis with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = multijoin.AnalyzeGuarded(db, multijoin.NewGuard(ctx, multijoin.GuardLimits{}))
+	_, err = multijoin.Analyze(multijoin.NewEvaluator(db).WithGuard(multijoin.NewGuard(ctx, multijoin.GuardLimits{})))
 	if !errors.Is(err, context.Canceled) || !multijoin.Tripped(err) {
 		t.Fatalf("want cancellation, got %v", err)
 	}

@@ -67,7 +67,7 @@ func TestPaperWalkthrough(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		db := multijoin.GenerateDiagonal(rng,
 			multijoin.GenerateSchemes(multijoin.ShapeChain, 5), 8, 0.6)
-		an, err := multijoin.Analyze(db)
+		an, err := multijoin.Analyze(multijoin.NewEvaluator(db))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,10 +135,11 @@ func TestPaperWalkthrough(t *testing.T) {
 		if !db.Graph().AlphaAcyclic() || !db.Graph().GammaAcyclic() {
 			t.Fatal("chains are acyclic at every degree")
 		}
-		reduced, err := multijoin.FullReduce(db)
+		red, err := multijoin.FullReduce(db, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reduced := red.Database
 		if !multijoin.PairwiseConsistent(reduced) {
 			t.Fatal("reduction yields pairwise consistency")
 		}
