@@ -8,22 +8,19 @@
 //	experiments -list            # list experiment IDs
 //	experiments -run E-ex1       # run one experiment
 //	experiments -bench           # run the bench pipeline, write BENCH_joinopt.json
-//	experiments -check-bench F   # validate a previously written bench report
 //
 // The process exits nonzero if any experiment's checks fail, so the
 // harness can gate CI on the reproduction staying faithful; the bench
 // mode emits the schema-versioned performance report CI archives per
-// push.
+// push. cmd/obscheck validates a written report.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"multijoin/internal/exitcode"
 	"multijoin/internal/experiments"
 )
 
@@ -32,24 +29,12 @@ func main() {
 	run := flag.String("run", "", "run a single experiment by ID (default: all)")
 	bench := flag.Bool("bench", false, "run the bench pipeline over the fixed corpus")
 	benchOut := flag.String("bench-out", "BENCH_joinopt.json", "bench report output file")
-	checkBench := flag.String("check-bench", "", "validate a bench report file and exit")
 	flag.Parse()
 
 	if *list {
 		for _, info := range experiments.All() {
 			fmt.Printf("%-14s %s\n", info.ID, info.Paper)
 		}
-		return
-	}
-
-	if *checkBench != "" {
-		if err := checkBenchFile(*checkBench); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			// A report that fails validation is bad input, not an
-			// internal failure — exit 3 per the project's code contract.
-			os.Exit(exitcode.BadInput)
-		}
-		fmt.Printf("%s validates against the bench schema\n", *checkBench)
 		return
 	}
 
@@ -98,7 +83,7 @@ func main() {
 // runBench executes the bench pipeline, validates the report before
 // writing it, and saves it to path.
 func runBench(path string) error {
-	rep, err := experiments.RunBench(context.Background(), os.Stdout)
+	rep, err := experiments.RunBench(os.Stdout)
 	if err != nil {
 		return err
 	}
@@ -116,22 +101,6 @@ func runBench(path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d cases, total wall %s)\n",
-		path, rep.Totals.Cases, time.Duration(rep.Totals.WallNS).Round(time.Millisecond))
+	fmt.Printf("wrote %s (%d cases)\n", path, len(rep.Cases))
 	return nil
-}
-
-// checkBenchFile decodes and validates a bench report — the CI gate for
-// the archived artifact.
-func checkBenchFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := experiments.DecodeBench(f)
-	if err != nil {
-		return err
-	}
-	return experiments.ValidateBench(rep)
 }

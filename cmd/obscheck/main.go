@@ -4,7 +4,8 @@
 // -bench, BENCH_joinopt.json) and flight-recorder documents (joinserve
 // GET /debug/requests). Each argument is sniffed by schema and must
 // decode cleanly with no unknown fields; bench reports must also pass
-// the bench validator. With -prom the arguments are Prometheus text
+// the bench validator, which makes obscheck CI's gate on a written
+// bench report. With -prom the arguments are Prometheus text
 // exposition (joinserve GET /metrics) instead of JSON, checked for
 // well-formed families and sorted, type-consistent sample lines. CI
 // runs it to keep the service's wire contracts honest.

@@ -184,7 +184,7 @@ func Run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "joinopt:", err)
 		if guard.Tripped(err) {
-			reportBudget(stderr, g)
+			reportBudget(stderr, g, err)
 		}
 		// The exit code classifies the failure — budget-tripped (4),
 		// malformed input (3) and internal (1) are different operator
@@ -245,12 +245,27 @@ func writeObsFiles(rec *obs.Recorder, metricsOut, traceOut string) error {
 
 // reportBudget prints the guard's atomic spent/limit snapshot after a
 // tripped run, so the user sees in one line which budget was exhausted,
-// in which phase, and how far the others got.
-func reportBudget(w io.Writer, g *guard.Guard) {
+// in which phase, and how far the others got. The phase is the one the
+// typed error names: a truncated analysis runs later phases after the
+// cut, so the guard's last label may name one that never tripped.
+func reportBudget(w io.Writer, g *guard.Guard, err error) {
 	if g == nil {
 		return
 	}
 	snap := g.Snapshot()
+	var (
+		be *guard.BudgetError
+		ce *guard.CancelError
+		se *database.SizeError
+	)
+	switch {
+	case errors.As(err, &be):
+		snap.Phase = be.Phase
+	case errors.As(err, &ce):
+		snap.Phase = ce.Phase
+	case errors.As(err, &se):
+		snap.Phase = se.Phase
+	}
 	fmt.Fprintf(w, "joinopt: budget report: phase=%s tuples=%s states=%s steps=%s\n",
 		snap.Phase, usageString(snap.Tuples), usageString(snap.States), usageString(snap.Steps))
 }

@@ -374,6 +374,24 @@ func TestStateBudgetPartialReport(t *testing.T) {
 	}
 }
 
+// TestBudgetReportNamesTheTrippedPhase: a truncated analysis runs later
+// phases after the cut, so the budget report must name the phase the
+// typed error carries, not the guard's last label.
+func TestBudgetReportNamesTheTrippedPhase(t *testing.T) {
+	_, errOut, code := run(t, "-example", "5", "-max-states", "40")
+	if code != 4 {
+		t.Fatalf("exit %d, want 4 (budget-tripped): %s", code, errOut)
+	}
+	_, rest, ok := strings.Cut(errOut, `analysis truncated in phase "`)
+	phase, _, _ := strings.Cut(rest, `"`)
+	if !ok || phase == "" {
+		t.Fatalf("stderr names no truncated phase: %s", errOut)
+	}
+	if want := "budget report: phase=" + phase + " "; !strings.Contains(errOut, want) {
+		t.Errorf("stderr lacks %q:\n%s", want, errOut)
+	}
+}
+
 func TestOptimaDegradationLadder(t *testing.T) {
 	// With a shared state budget every rung of the ladder (exhaustive →
 	// DP → greedy) re-trips; each attempt must be reported and the

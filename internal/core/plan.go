@@ -12,26 +12,24 @@ import (
 
 // Cacheable plan representation. A served system cannot afford to rerun
 // the subset DP for every request, so an optimization outcome must be
-// storable under a key that says exactly when reuse is sound. The key is
-// a Fingerprint — hypergraph shape plus a statistics digest — and the
-// value is a Plan: a name-free, index-based rendering of the strategy
-// tree together with how it was obtained. Any database with the same
-// fingerprint presents the planner with the same relation count, the
-// same attribute structure and the same statistics, so the cached join
-// order applies verbatim; a change to any relation's data moves the
-// stats digest and silently invalidates every plan cached under the old
-// key.
+// storable: a Plan is a name-free, index-based rendering of the strategy
+// tree together with how it was obtained. A Fingerprint — hypergraph
+// shape plus a statistics digest — identifies a database's shape and
+// statistics, not its data: two databases with equal cardinalities and
+// distinct counts share a fingerprint even when their joins differ, so
+// their τ and their optimal plans can differ too. A plan cache must key
+// by the data itself (serve digests the database's bytes).
 
-// Fingerprint identifies a database for plan-cache purposes.
+// Fingerprint digests a database's shape and statistics.
 type Fingerprint struct {
 	// Shape digests the hypergraph: relation count and each relation's
 	// attribute set, in scheme order. Names are deliberately excluded —
 	// plans are index-based, so renaming relations does not invalidate
 	// them.
 	Shape uint64 `json:"shape"`
-	// Stats digests the statistics the cost-based planner consumes:
-	// per-relation cardinalities and per-attribute distinct-value
-	// counts. Inserting, deleting or rewriting tuples moves this digest.
+	// Stats digests per-relation cardinalities and per-attribute
+	// distinct-value counts. A change to the data that keeps every one
+	// of them leaves this digest where it was.
 	Stats uint64 `json:"stats"`
 }
 
@@ -59,12 +57,12 @@ func fnvInt(h uint64, v int) uint64 {
 	return (h ^ uint64(uint32(v))) * fnvPrime
 }
 
-// FingerprintDB computes the database's plan-cache fingerprint in one
-// pass over the data, counting distinct values on the ID slabs. The
-// statistics digested here are exactly the ones estimate.Catalog
-// gathers (cardinality, per-attribute distinct counts), so two
-// databases with equal fingerprints are indistinguishable to every
-// planning rung from the DP down.
+// FingerprintDB computes the database's fingerprint in one pass over
+// the data, counting distinct values on the ID slabs. The statistics
+// digested here are the uniform model's (cardinality, per-attribute
+// distinct counts); the DP's exact τ and the histogram model read the
+// data itself, so databases with equal fingerprints can still plan
+// differently.
 func FingerprintDB(db *database.Database) Fingerprint {
 	shape := fnvInt(fnvOffset, db.Len())
 	stats := fnvInt(fnvOffset, db.Len())
@@ -90,7 +88,7 @@ func FingerprintDB(db *database.Database) Fingerprint {
 type Plan struct {
 	// Expr is the strategy in index-based parenthesized form, e.g.
 	// "((0 1) 2)" — name-free so it binds to any database with the same
-	// fingerprint.
+	// relation count.
 	Expr string `json:"expr"`
 	// Method names the ladder rung that produced the plan: "dp",
 	// "yannakakis", "greedy" or "estimate".

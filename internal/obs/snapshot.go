@@ -34,8 +34,11 @@ const (
 	// section (Yannakakis fast-path τ and max intermediate against the
 	// best binary-join subspace, differential-matched per case); v8
 	// dropped the analysis section and the cases' prewarmNs and
-	// analyzeNs with the analyze fan-out and the prewarm they measured.
-	BenchSchema = "multijoin/bench/v8"
+	// analyzeNs with the analyze fan-out and the prewarm they measured;
+	// v9 dropped the kernel and serve sections, the totals and the
+	// cases' statesPerSec, which repeated what the relation package's
+	// benchmarks, the chaos suite and the other leaves already hold.
+	BenchSchema = "multijoin/bench/v9"
 )
 
 // TimerStats is a timer's aggregate in a snapshot.

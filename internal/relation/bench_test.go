@@ -67,6 +67,38 @@ func BenchmarkJoinShape(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinPaths joins the same inputs on the sequential path and on
+// the partitioned path, forcing parallelJoinThreshold each way, so the
+// two paths are compared on equal work. The domain is as wide as the
+// inputs, so the output stays about as small as one input and the
+// measurement weighs partitioning, building and probing rather than
+// copying output.
+func BenchmarkJoinPaths(b *testing.B) {
+	for _, rows := range []int{4200, 20000} {
+		rng := rand.New(rand.NewSource(9))
+		r := benchRel(rng, "R", "AB", rows, rows)
+		s := benchRel(rng, "S", "BC", rows, rows)
+		for _, path := range []struct {
+			name      string
+			threshold int
+		}{{"sequential", 1 << 30}, {"partitioned", 1}} {
+			b.Run(fmt.Sprintf("rows%d/%s", rows, path.name), func(b *testing.B) {
+				old := parallelJoinThreshold
+				parallelJoinThreshold = path.threshold
+				defer func() { parallelJoinThreshold = old }()
+				if parts := Join(r, s).JoinPartitions(); (parts > 0) != (path.threshold == 1) {
+					b.Fatalf("%s path joined in %d partitions", path.name, parts)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Join(r, s)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkSemijoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	r := benchRel(rng, "R", "AB", 5000, 2000)

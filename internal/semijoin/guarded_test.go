@@ -155,6 +155,32 @@ func TestYannakakisGuardedDifferential(t *testing.T) {
 	}
 }
 
+// TestYannakakisWallOnlyForAcyclicSchemes: a scheme the acyclicity
+// check rejects reduces and joins nothing, so it leaves the
+// plan.yannakakis.wall timer without a sample; an acyclic one records
+// exactly one.
+func TestYannakakisWallOnlyForAcyclicSchemes(t *testing.T) {
+	rec := obs.NewRecorder()
+	wall := rec.Timer(obs.MetricYannakakisWall)
+	cyc := database.New(
+		relation.FromStrings("R1", "AB", "1 x"),
+		relation.FromStrings("R2", "BC", "x 7"),
+		relation.FromStrings("R3", "CA", "7 1"),
+	)
+	if _, err := YannakakisGuarded(cyc, nil, rec); !errors.Is(err, ErrNotAcyclic) {
+		t.Fatalf("want ErrNotAcyclic, got %v", err)
+	}
+	if n, _, _, _ := wall.Stats(); n != 0 {
+		t.Errorf("rejected cyclic scheme recorded %d wall samples, want 0", n)
+	}
+	if _, err := YannakakisGuarded(chainDB(), nil, rec); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, _, _ := wall.Stats(); n != 1 {
+		t.Errorf("acyclic scheme recorded %d wall samples, want 1", n)
+	}
+}
+
 // TestYannakakisGuardedTwoComponents pins the unconnected path: the
 // cross-component product is governed too, and the result matches the
 // oracle's product.

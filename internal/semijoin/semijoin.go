@@ -407,11 +407,16 @@ func evaluate(red *Reduction, g *guard.Guard, rec *obs.Recorder) (*Evaluation, e
 // (vacuously governed) cross products. For a fully reduced database
 // every within-component intermediate is bounded by the component's
 // output — the monotone-increasing regime of Section 5 — and every
-// semijoin and join charges the guard with its result size.
+// semijoin and join charges the guard with its result size. The
+// plan.yannakakis.wall timer records a sample only for a scheme that
+// passed the acyclicity check.
 func YannakakisGuarded(db *database.Database, g *guard.Guard, rec *obs.Recorder) (*Evaluation, error) {
 	watch := rec.Timer(obs.MetricYannakakisWall).Start()
-	defer watch.Stop()
 	red, err := FullReduce(db, g, rec)
+	if errors.Is(err, ErrNotAcyclic) {
+		return nil, err
+	}
+	defer watch.Stop()
 	if err != nil {
 		return nil, err
 	}

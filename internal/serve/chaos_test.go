@@ -237,6 +237,49 @@ func TestChaosSuite(t *testing.T) {
 		t.Error("the 2-slot burst class shed nothing at 1000-way concurrency")
 	}
 
+	// Latency quantiles are plausible over all requests and over sheds,
+	// in both phases.
+	for phase, rep := range map[string]*LoadReport{"mixed": report, "shed": shedReport} {
+		if rep.LatencyP50NS <= 0 || rep.LatencyP99NS < rep.LatencyP50NS {
+			t.Errorf("%s phase: latency p50 %d, p99 %d", phase, rep.LatencyP50NS, rep.LatencyP99NS)
+		}
+		if rep.ShedP50NS <= 0 || rep.ShedP99NS < rep.ShedP50NS {
+			t.Errorf("%s phase: shed p50 %d, p99 %d", phase, rep.ShedP50NS, rep.ShedP99NS)
+		}
+	}
+
+	// The latency histogram has one series per tenant × endpoint ×
+	// outcome, each internally consistent, and together the series
+	// observed every request of both phases exactly once.
+	var observed int64
+	for _, h := range rec.Snapshot().Histograms {
+		if h.Name != obs.MetricServeRequestLatency {
+			continue
+		}
+		if len(h.Counts) != len(h.Bounds)+1 {
+			t.Errorf("latency series %v has %d counts for %d bounds", h.Labels, len(h.Counts), len(h.Bounds))
+		}
+		var buckets int64
+		for _, c := range h.Counts {
+			if c < 0 {
+				t.Errorf("latency series %v has a negative bucket", h.Labels)
+			}
+			buckets += c
+		}
+		if buckets != h.Count {
+			t.Errorf("latency series %v: buckets sum to %d of %d observations", h.Labels, buckets, h.Count)
+		}
+		for _, key := range []string{"tenant", "endpoint", "outcome"} {
+			if h.Labels[key] == "" {
+				t.Errorf("latency series %v lacks the %q label", h.Labels, key)
+			}
+		}
+		observed += h.Count
+	}
+	if want := int64(report.Requests + shedReport.Requests); observed != want {
+		t.Errorf("latency histograms observed %d of %d requests", observed, want)
+	}
+
 	// Flight-recorder accounting: with the ring oversized, nothing was
 	// evicted and every shed and degraded request across both phases is
 	// retained — zero drops unaccounted.

@@ -303,7 +303,7 @@ func planRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) 
 // measured, not estimated — so when execution was requested the result
 // produced during planning is kept and maybeExecute is skipped. The
 // reported strategy is the equivalent binary join-tree plan, which is
-// what the plan cache replays for repeat fingerprints.
+// what the plan cache replays for repeat requests.
 func yannakakisRung(req ladderRequest, g *guard.Guard, out *ladderOutcome) error {
 	ev, err := semijoin.YannakakisGuarded(req.db, g, req.rec)
 	if err != nil {

@@ -4,19 +4,20 @@ import (
 	"container/list"
 	"sync"
 
-	"multijoin/internal/core"
 	"multijoin/internal/obs"
 	"multijoin/internal/strategy"
 )
 
 // The plan cache. Optimization is the expensive half of a request — the
 // DP examines up to 2^n states — while the *outcome* is a small tree
-// over relation indexes. The cache keys that tree by core.Fingerprint
-// (hypergraph shape + statistics digest), so a repeat of a query against
-// unchanged data skips the DP entirely: the acceptance criterion is that
-// a cache hit leaves `dp.states` flat. Any change to the data moves the
-// stats digest and misses naturally — there is no explicit invalidation
-// protocol to get wrong.
+// over relation indexes. The cache keys that tree by a digest of the
+// request's database bytes, so a repeat of a query against unchanged
+// data skips the DP entirely: the acceptance criterion is that a cache
+// hit leaves `dp.states` flat. Any change to the data changes the bytes
+// and misses naturally — there is no explicit invalidation protocol to
+// get wrong. The statistics fingerprint (core.Fingerprint) is no key:
+// databases with equal cardinalities and distinct counts can still have
+// different τ and different optimal plans.
 
 // defaultPlanCacheCap bounds the cache when Config leaves it zero.
 const defaultPlanCacheCap = 256
@@ -30,12 +31,12 @@ type cachedPlan struct {
 	estimated bool
 }
 
-// planCache is a concurrency-safe LRU from fingerprint to plan.
+// planCache is a concurrency-safe LRU from database digest to plan.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recent; values are *planEntry
-	entries map[core.Fingerprint]*list.Element
+	entries map[uint64]*list.Element
 
 	cHit   *obs.Counter
 	cMiss  *obs.Counter
@@ -44,7 +45,7 @@ type planCache struct {
 }
 
 type planEntry struct {
-	key  core.Fingerprint
+	key  uint64
 	plan cachedPlan
 }
 
@@ -55,7 +56,7 @@ func newPlanCache(capacity int, rec *obs.Recorder) *planCache {
 	return &planCache{
 		cap:     capacity,
 		order:   list.New(),
-		entries: make(map[core.Fingerprint]*list.Element, capacity),
+		entries: make(map[uint64]*list.Element, capacity),
 		cHit:    rec.Counter(obs.MetricServeCacheHit),
 		cMiss:   rec.Counter(obs.MetricServeCacheMiss),
 		cEvict:  rec.Counter(obs.MetricServeCacheEvict),
@@ -63,13 +64,13 @@ func newPlanCache(capacity int, rec *obs.Recorder) *planCache {
 	}
 }
 
-// get returns the cached plan for the fingerprint, refreshing its
+// get returns the cached plan for the digest, refreshing its
 // recency on a hit. acceptEstimated widens the lookup to entries filled
 // from estimate-mode planning: exact requests must pass false (they owe
 // the caller a τ-optimal plan, and an estimated entry is not one), so
 // for them an estimated entry counts as a miss — without refreshing its
 // recency, since the exact plan about to be computed will overwrite it.
-func (pc *planCache) get(key core.Fingerprint, acceptEstimated bool) (cachedPlan, bool) {
+func (pc *planCache) get(key uint64, acceptEstimated bool) (cachedPlan, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	el, ok := pc.entries[key]
@@ -86,10 +87,10 @@ func (pc *planCache) get(key core.Fingerprint, acceptEstimated bool) (cachedPlan
 	return el.Value.(*planEntry).plan, true
 }
 
-// put stores a plan under the fingerprint, evicting the least recently
+// put stores a plan under the digest, evicting the least recently
 // used entry past capacity. Storing again under a live key refreshes the
 // plan in place (a concurrent request may have planned the same shape).
-func (pc *planCache) put(key core.Fingerprint, plan cachedPlan) {
+func (pc *planCache) put(key uint64, plan cachedPlan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if el, ok := pc.entries[key]; ok {

@@ -4,30 +4,27 @@ import (
 	"sync"
 	"testing"
 
-	"multijoin/internal/core"
 	"multijoin/internal/obs"
 	"multijoin/internal/strategy"
 )
-
-func fpOf(n uint64) core.Fingerprint { return core.Fingerprint{Shape: n, Stats: n} }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	rec := obs.NewRecorder()
 	pc := newPlanCache(2, rec)
 	plan := cachedPlan{strategy: strategy.Leaf(0), rung: RungDP, cost: 1}
 
-	pc.put(fpOf(1), plan)
-	pc.put(fpOf(2), plan)
-	pc.get(fpOf(1), false) // refresh 1 → 2 is now least recent
-	pc.put(fpOf(3), plan)
+	pc.put(1, plan)
+	pc.put(2, plan)
+	pc.get(1, false) // refresh 1 → 2 is now least recent
+	pc.put(3, plan)
 
-	if _, ok := pc.get(fpOf(2), false); ok {
+	if _, ok := pc.get(2, false); ok {
 		t.Error("least-recently-used entry survived eviction")
 	}
-	if _, ok := pc.get(fpOf(1), false); !ok {
+	if _, ok := pc.get(1, false); !ok {
 		t.Error("recently-used entry evicted")
 	}
-	if _, ok := pc.get(fpOf(3), false); !ok {
+	if _, ok := pc.get(3, false); !ok {
 		t.Error("newest entry evicted")
 	}
 	if pc.len() != 2 {
@@ -40,9 +37,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 
 func TestPlanCacheRefreshInPlace(t *testing.T) {
 	pc := newPlanCache(2, nil)
-	pc.put(fpOf(1), cachedPlan{strategy: strategy.Leaf(0), rung: RungGreedy, cost: 9})
-	pc.put(fpOf(1), cachedPlan{strategy: strategy.Leaf(0), rung: RungDP, cost: 5})
-	got, ok := pc.get(fpOf(1), false)
+	pc.put(1, cachedPlan{strategy: strategy.Leaf(0), rung: RungGreedy, cost: 9})
+	pc.put(1, cachedPlan{strategy: strategy.Leaf(0), rung: RungDP, cost: 5})
+	got, ok := pc.get(1, false)
 	if !ok || got.rung != RungDP || got.cost != 5 {
 		t.Fatalf("refresh lost: %+v %v", got, ok)
 	}
@@ -54,11 +51,11 @@ func TestPlanCacheRefreshInPlace(t *testing.T) {
 func TestPlanCacheHitMissCounters(t *testing.T) {
 	rec := obs.NewRecorder()
 	pc := newPlanCache(0, rec) // 0 selects the default capacity
-	if _, ok := pc.get(fpOf(7), false); ok {
+	if _, ok := pc.get(7, false); ok {
 		t.Fatal("hit on empty cache")
 	}
-	pc.put(fpOf(7), cachedPlan{strategy: strategy.Leaf(0)})
-	if _, ok := pc.get(fpOf(7), false); !ok {
+	pc.put(7, cachedPlan{strategy: strategy.Leaf(0)})
+	if _, ok := pc.get(7, false); !ok {
 		t.Fatal("miss after put")
 	}
 	if rec.Counter("serve.cache.hit").Value() != 1 || rec.Counter("serve.cache.miss").Value() != 1 {
@@ -87,9 +84,9 @@ func TestPlanCacheConcurrentHitFillEvict(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				fp := fpOf(uint64((w*ops + i) % keys))
-				if _, ok := pc.get(fp, false); !ok {
-					pc.put(fp, plan)
+				key := uint64((w*ops + i) % keys)
+				if _, ok := pc.get(key, false); !ok {
+					pc.put(key, plan)
 				}
 			}
 		}(w)

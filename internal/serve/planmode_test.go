@@ -115,7 +115,7 @@ func TestQueryEstimateModeExecutesChosenPlan(t *testing.T) {
 }
 
 // TestEstimateModeFillsPlanCache: estimate-mode plans are cacheable —
-// the fingerprint digests exactly the statistics the catalog reads — so
+// an estimated plan is a function of the database the key digests — so
 // a repeat estimate-mode query hits; an exact query must NOT accept the
 // estimated entry, and its exact plan then overwrites it for everyone.
 func TestEstimateModeFillsPlanCache(t *testing.T) {

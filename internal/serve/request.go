@@ -185,7 +185,9 @@ type Response struct {
 	Plan PlanInfo `json:"plan"`
 	// CacheHit marks answers served from the plan cache.
 	CacheHit bool `json:"cacheHit"`
-	// Fingerprint is the database's plan-cache key, for cache debugging.
+	// Fingerprint is the database's statistics digest (core.Fingerprint:
+	// shape, cardinalities, distinct counts). It is not the plan-cache
+	// key, which digests the database's bytes.
 	Fingerprint string `json:"fingerprint"`
 	// ResultSize is the final join's cardinality; present only when the
 	// request executed (analyze mode, or query mode with execute).

@@ -1,8 +1,8 @@
 // Package serve is the engine's multi-tenant service layer: an
 // HTTP/JSON API that runs analyze/optimize/execute requests through the
 // guard/obs stack with per-tenant admission control, load shedding, a
-// degradation ladder, a fingerprint-keyed plan cache, and deterministic
-// fault injection.
+// degradation ladder, a plan cache keyed by the database's bytes, and
+// deterministic fault injection.
 //
 // The paper's results motivate every piece. Intermediate-result blow-up
 // is workload-dependent (τ can be exponential in the worst case), so a
@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/maphash"
 	"net/http"
 	"strconv"
 	"sync"
@@ -55,6 +56,7 @@ type Server struct {
 	tenants *tenantSet
 	adm     *admission
 	cache   *planCache
+	seed    maphash.Seed // digests request databases into plan-cache keys
 	chaos   *chaos
 	rec     *obs.Recorder
 	flight  *flightRecorder
@@ -80,6 +82,7 @@ func New(cfg Config) (*Server, error) {
 		tenants:   ts,
 		adm:       newAdmission(ts, rec),
 		cache:     newPlanCache(cfg.PlanCacheCap, rec),
+		seed:      maphash.MakeSeed(),
 		chaos:     newChaos(cfg.Chaos, rec),
 		rec:       rec,
 		flight:    newFlightRecorder(cfg.FlightCap, cfg.SlowThreshold),
@@ -395,6 +398,7 @@ type httpError struct {
 func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	db *database.Database, class TenantClass, plan chaosPlan, analyze bool) (*Response, *httpError) {
 	fp := core.FingerprintDB(db)
+	key := maphash.Bytes(s.seed, req.Database)
 	ev := database.NewEvaluator(db).WithRecorder(rt.rec)
 	// Decode already validated the mode; analyze requests always plan
 	// exactly, whatever the body says.
@@ -405,10 +409,10 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 
 	if !analyze && !req.NoCache {
 		// Exact requests skip estimated entries — they owe the caller a
-		// τ-optimal plan. Estimate-mode requests accept any entry: the
-		// fingerprint digests exactly the statistics the catalog gathers,
-		// and an exact plan is at least as good as an estimated one.
-		if hit, ok := s.cache.get(fp, planMode != PlanExact); ok {
+		// τ-optimal plan. Estimate-mode requests accept any entry for the
+		// same database: an exact plan is at least as good as an
+		// estimated one.
+		if hit, ok := s.cache.get(key, planMode != PlanExact); ok {
 			if resp, ok := s.serveFromCache(ctx, rt, req, class, plan, ev, fp, hit); ok {
 				return resp, nil
 			}
@@ -445,17 +449,15 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	}
 
 	resp := s.buildResponse(db, ev, out, fp)
-	// Cache fills: the DP's τ-optimal plans and the yannakakis rung's
-	// join-tree strategy, a pure function of the fingerprinted scheme,
-	// plus estimate-mode plans: core.Fingerprint digests the same
-	// statistics the catalog reads, so an estimated plan is a pure
-	// function of the cache key. Greedy plans carry no guarantee, and
-	// degradation-path estimate answers (exact mode) exist because
+	// Cache fills: the DP's τ-optimal plans, the yannakakis rung's
+	// join-tree strategy and estimate-mode plans, each a pure function
+	// of the database the key digests. Greedy plans carry no guarantee,
+	// and degradation-path estimate answers (exact mode) exist because
 	// budgets tripped, not because planning finished: neither is cached.
 	fill := out.rung == RungDP || out.rung == RungYannakakis ||
 		(planMode != PlanExact && out.rung == RungEstimate)
 	if !req.NoCache && fill {
-		s.cache.put(fp, cachedPlan{
+		s.cache.put(key, cachedPlan{
 			strategy:  out.strategy,
 			rung:      out.rung,
 			cost:      out.cost,

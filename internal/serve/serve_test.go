@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"multijoin/internal/core"
 	"multijoin/internal/database"
 	"multijoin/internal/gen"
 	"multijoin/internal/obs"
 	"multijoin/internal/optimizer"
 	"multijoin/internal/paperex"
+	"multijoin/internal/relation"
 )
 
 // newTestServer builds a server with a recorder and generous default
@@ -299,6 +301,52 @@ func TestCacheInvalidatedByDataChange(t *testing.T) {
 	}
 	if second.Fingerprint == first.Fingerprint {
 		t.Fatal("different databases share a fingerprint")
+	}
+}
+
+// TestPlanCacheKeepsDatabasesApart: R2 differs between the two
+// databases while every cardinality and distinct count agrees, so their
+// statistics fingerprints are equal, yet their optimal plans differ.
+// Each answer, planned or executed, must carry its own plan's τ and its
+// own database's optimum.
+func TestPlanCacheKeepsDatabasesApart(t *testing.T) {
+	rel := func(name, attrs string, rows ...[2]relation.Value) *relation.Relation {
+		r := relation.New(name, relation.SchemaFromString(attrs))
+		for _, row := range rows {
+			r.InsertRow(row[:])
+		}
+		return r
+	}
+	same := [][2]relation.Value{{"1", "1"}, {"2", "2"}}
+	db1 := database.New(rel("R1", "AB", same...), rel("R2", "BC", same...), rel("R3", "CD", same...))
+	db2 := database.New(rel("R1", "AB", same...), rel("R2", "BC", [2]relation.Value{"1", "1"}, [2]relation.Value{"3", "2"}),
+		rel("R3", "CD", same...))
+	if core.FingerprintDB(db1) != core.FingerprintDB(db2) {
+		t.Fatal("the two databases' statistics fingerprints differ; the test needs them equal")
+	}
+	for _, execute := range []bool{false, true} {
+		_, doer, _ := newTestServer(t, Config{})
+		for i, db := range []*database.Database{db1, db2} {
+			body, err := BuildRequestBodyMode(db, "standard", execute, false, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _ := doer.Do(context.Background(), http.MethodPost, "/v1/query", body)
+			out := decode200(t, res)
+			plan, err := core.Plan{Expr: out.Plan.Expr}.Strategy(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tau := plan.Cost(database.NewEvaluator(db))
+			opt, err := optimizer.Optimize(database.NewEvaluator(db), optimizer.SpaceAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Plan.Cost != int64(tau) || tau != opt.Cost {
+				t.Errorf("execute=%v, database %d: rung %s plan %s cost %d (cache hit %v); its τ is %d, the optimum %d",
+					execute, i+1, out.Rung, out.Plan.Expr, out.Plan.Cost, out.CacheHit, tau, opt.Cost)
+			}
+		}
 	}
 }
 
