@@ -22,7 +22,7 @@ const HotPathDirective = "//joinlint:hotpath"
 //     compare uint32 IDs instead), or
 //   - allocate a map inside a loop (per-row map allocation is the
 //     failure mode the interning rewrite removed; hoist the map or use
-//     a groupMap-style packed structure).
+//     a flat table sized once, like the kernel's rowIndex).
 //
 // Untagged files are never checked: the analyzer draws the hot/cold
 // boundary exactly where the kernel declares it.

@@ -95,9 +95,11 @@ type Report struct {
 func Check(ev *database.Evaluator, c Condition) Report {
 	switch c {
 	case C1:
-		return checkC1(ev, false)
+		r, _ := checkC1(ev, true, false)
+		return r
 	case C1Strict:
-		return checkC1(ev, true)
+		_, r := checkC1(ev, false, true)
+		return r
 	case C2:
 		return checkPairwise(ev, C2)
 	case C3:
@@ -109,10 +111,12 @@ func Check(ev *database.Evaluator, c Condition) Report {
 }
 
 // CheckAll evaluates every condition, returning reports keyed by
-// condition in declaration order (C1, C1′, C2, C3, C4).
+// condition in declaration order (C1, C1′, C2, C3, C4). C1 and C1′ are
+// checked in one pass over their triples.
 func CheckAll(ev *database.Evaluator) []Report {
-	out := make([]Report, 0, 5)
-	for _, c := range []Condition{C1, C1Strict, C2, C3, C4} {
+	c1, c1Strict := checkC1(ev, true, true)
+	out := []Report{c1, c1Strict}
+	for _, c := range []Condition{C2, C3, C4} {
 		out = append(out, Check(ev, c))
 	}
 	return out
@@ -124,11 +128,16 @@ func connectedSubsets(g *hypergraph.Graph) []hypergraph.Set {
 	return g.ConnectedSubsets(g.All())
 }
 
-func checkC1(ev *database.Evaluator, strict bool) Report {
-	cond := C1
-	if strict {
-		cond = C1Strict
-	}
+// checkC1 checks C1 (wantC1) and C1′ (wantStrict) in one walk over the
+// (E, E1, E2) triples, recording each condition's first witness. A C1
+// witness (left > right) is also a C1′ witness (left ≥ right), so C1′'s
+// first witness comes no later than C1's, and the walk stops once every
+// wanted condition has one: the subsets it requests are a prefix of the
+// order a lone C1 pass requests them in. The report of a condition not
+// wanted is meaningless.
+func checkC1(ev *database.Evaluator, wantC1, wantStrict bool) (c1, strict Report) {
+	c1 = Report{Cond: C1, Holds: true}
+	strict = Report{Cond: C1Strict, Holds: true}
 	g := ev.Database().Graph()
 	subs := connectedSubsets(g)
 	for _, e := range subs {
@@ -146,19 +155,26 @@ func checkC1(ev *database.Evaluator, strict bool) Report {
 					continue
 				}
 				right := ev.JoinSize(e, e2)
-				bad := left > right
-				if strict {
-					bad = left >= right
+				if left < right {
+					continue
 				}
-				if bad {
-					return Report{Cond: cond, Holds: false, Witness: &Witness{
-						Cond: cond, E: e, E1: e1, E2: e2, Left: left, Right: right,
+				if strict.Holds {
+					strict = Report{Cond: C1Strict, Holds: false, Witness: &Witness{
+						Cond: C1Strict, E: e, E1: e1, E2: e2, Left: left, Right: right,
 					}}
+				}
+				if left > right && c1.Holds {
+					c1 = Report{Cond: C1, Holds: false, Witness: &Witness{
+						Cond: C1, E: e, E1: e1, E2: e2, Left: left, Right: right,
+					}}
+				}
+				if (!wantC1 || !c1.Holds) && (!wantStrict || !strict.Holds) {
+					return c1, strict
 				}
 			}
 		}
 	}
-	return Report{Cond: cond, Holds: true}
+	return c1, strict
 }
 
 func checkPairwise(ev *database.Evaluator, cond Condition) Report {

@@ -1,6 +1,7 @@
 package database
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,8 +46,25 @@ type jsonDatabase struct {
 	Relations []jsonRelation `json:"relations"`
 }
 
-// EncodeJSON writes the database in the interchange format.
+// EncodeJSON writes the database in the interchange format, indented
+// by two spaces and ending in a newline.
 func EncodeJSON(w io.Writer, db *Database) error {
+	b, err := MarshalJSON(db)
+	if err != nil {
+		return err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, b, "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
+}
+
+// MarshalJSON returns the database in the interchange format as
+// compact JSON, escaped as json.Marshal escapes.
+func MarshalJSON(db *Database) ([]byte, error) {
 	out := jsonDatabase{Relations: make([]jsonRelation, db.Len())}
 	for i := 0; i < db.Len(); i++ {
 		r := db.Relation(i)
@@ -64,9 +82,7 @@ func EncodeJSON(w io.Writer, db *Database) error {
 		}
 		out.Relations[i] = jr
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return json.Marshal(out)
 }
 
 // DecodeJSON reads a database in the interchange format. The input is

@@ -2,6 +2,8 @@ package database
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -166,5 +168,70 @@ func TestDecodeJSONDeepNesting(t *testing.T) {
 	_, err := DecodeJSON(strings.NewReader(src))
 	if err == nil || !strings.Contains(err.Error(), "exceeded max depth") {
 		t.Fatalf("deep nesting: got %v, want the max-depth error", err)
+	}
+}
+
+// escapeDB holds names, attributes and values that encoding/json
+// escapes or rewrites — quotes, backslashes, HTML characters, control
+// and line-separator runes, invalid UTF-8 — next to plain non-ASCII
+// text, and a relation with no rows.
+func escapeDB() *Database {
+	r := relation.FromRows(`R"<1>"`, relation.NewSchema("<A>", "Ä&B"),
+		[]relation.Value{`say "hi"`, `back\slash`},
+		[]relation.Value{"<script>&amp;", "tab\tnew\nline"},
+		[]relation.Value{"é∑😀", "\u2028sep\u2029 \xff"})
+	return New(r, relation.New("empty", relation.NewSchema("Z")))
+}
+
+// encodeJSONIndented is EncodeJSON as it was before MarshalJSON: one
+// json.Encoder, indenting, over the interchange struct.
+func encodeJSONIndented(w io.Writer, db *Database) error {
+	out := jsonDatabase{Relations: make([]jsonRelation, db.Len())}
+	for i := 0; i < db.Len(); i++ {
+		r := db.Relation(i)
+		jr := jsonRelation{Name: r.Name()}
+		for _, a := range r.Schema().Attrs() {
+			jr.Attrs = append(jr.Attrs, string(a))
+		}
+		for _, row := range r.Rows() {
+			vals := make([]string, len(row))
+			for j, v := range row {
+				vals[j] = string(v)
+			}
+			jr.Rows = append(jr.Rows, vals)
+		}
+		out.Relations[i] = jr
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
+}
+
+// TestEncodeJSONMatchesIndentingEncoder: EncodeJSON, now json.Indent of
+// MarshalJSON, writes the bytes the indenting encoder wrote, and
+// MarshalJSON is their compact form.
+func TestEncodeJSONMatchesIndentingEncoder(t *testing.T) {
+	for _, db := range []*Database{exampleDB(), escapeDB()} {
+		var got, want bytes.Buffer
+		if err := EncodeJSON(&got, db); err != nil {
+			t.Fatal(err)
+		}
+		if err := encodeJSONIndented(&want, db); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("EncodeJSON wrote\n%s\nthe indenting encoder\n%s", got.Bytes(), want.Bytes())
+		}
+		compact, err := MarshalJSON(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantCompact bytes.Buffer
+		if err := json.Compact(&wantCompact, want.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(compact, wantCompact.Bytes()) {
+			t.Fatalf("MarshalJSON wrote\n%s\nwant\n%s", compact, wantCompact.Bytes())
+		}
 	}
 }

@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzJoinKernel feeds arbitrary byte-derived relation pairs through
 // the optimized join kernel (both the sequential and the partitioned
-// path) and the nested-loop oracle, and fails on any divergence. The
-// seed corpus lives under testdata/fuzz/FuzzJoinKernel.
+// path) and the nested-loop oracle, and fails on any divergence, or on
+// a row order other than the groupMap reference's (order_ref_test.go).
+// The seed corpus lives under testdata/fuzz/FuzzJoinKernel.
 
 // fuzzAttrPool is the attribute universe the fuzzer draws schemes
 // from; a scheme byte is a bitmask over it.
@@ -57,22 +58,29 @@ func FuzzJoinKernel(f *testing.F) {
 		s := fuzzRelation("S", fuzzSchema(ss), data[half:], 64)
 		want := ReferenceJoin(r, s)
 
-		if got := Join(r, s); !got.Equal(want) {
+		got := Join(r, s)
+		if !got.Equal(want) {
 			t.Fatalf("sequential kernel diverges from oracle:\nr = %v\ns = %v\ngot %v\nwant %v",
 				r, s, got, want)
 		}
+		schema, slab := refJoin(r, s, false)
+		sameSlab(t, "sequential join", got, schema, slab)
 		old := parallelJoinThreshold
 		parallelJoinThreshold = 1
-		got := Join(r, s)
+		got = Join(r, s)
 		parallelJoinThreshold = old
 		if !got.Equal(want) {
 			t.Fatalf("partitioned kernel diverges from oracle:\nr = %v\ns = %v\ngot %v\nwant %v",
 				r, s, got, want)
 		}
+		schema, slab = refJoin(r, s, true)
+		sameSlab(t, "partitioned join", got, schema, slab)
 
-		if got, want := Semijoin(r, s), ReferenceSemijoin(r, s); !got.Equal(want) {
+		semi := Semijoin(r, s)
+		if want := ReferenceSemijoin(r, s); !semi.Equal(want) {
 			t.Fatalf("semijoin diverges from oracle:\nr = %v\ns = %v\ngot %v\nwant %v",
-				r, s, got, want)
+				r, s, semi, want)
 		}
+		sameSlab(t, "semijoin", semi, r.schema, refSemijoin(r, s))
 	})
 }

@@ -120,12 +120,14 @@ func Join(r, s *Relation) *Relation {
 }
 
 // joinSequential builds on r, probes with s, and appends matches to
-// out's slab in probe order — the same tuple order the pre-dictionary
-// kernel produced.
+// out's slab in probe order, each probe row's matches in r's row order —
+// the same tuple order the pre-dictionary kernel produced. The build
+// side goes into the index in reverse, so its most-recent-first buckets
+// give a key's rows back in row order.
 func joinSequential(out *Relation, r, s *Relation, sData []uint32, plan joinPlan) {
-	build := newGroupMap(r.n)
-	for i := 0; i < r.n; i++ {
-		build.add(hashIDsAt(r.rowIDs(i), plan.rShared), int32(i))
+	build := newRowIndex(r.n)
+	for i := r.n - 1; i >= 0; i-- {
+		build.insert(hashIDsAt(r.rowIDs(i), plan.rShared), int32(i))
 	}
 	w := plan.out.Len()
 	sw := s.schema.Len()
@@ -136,19 +138,10 @@ func joinSequential(out *Relation, r, s *Relation, sData []uint32, plan joinPlan
 		buf = make([]uint32, w)
 	}
 	buf = buf[:w]
-	var one [1]int32
 	for j := 0; j < s.n; j++ {
 		sRow := sData[j*sw : j*sw+sw]
-		first, chain, ok := build.lookup(hashIDsAt(sRow, plan.sShared))
-		if !ok {
-			continue
-		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, ri := range chain {
-			rRow := r.rowIDs(int(ri))
+		for e := build.find(hashIDsAt(sRow, plan.sShared)); e != 0; e = build.next(e) {
+			rRow := r.rowIDs(build.ord(e))
 			if !equalIDsAt(rRow, plan.rShared, sRow, plan.sShared) {
 				continue
 			}
@@ -251,14 +244,15 @@ func joinPartitioned(out *Relation, r, s *Relation, sData []uint32, plan joinPla
 	out.partitions = joinPartitionCount
 }
 
-// joinPartition joins one partition pair into a fresh slab.
+// joinPartition joins one partition pair into a fresh slab, in the
+// order joinSequential would give the partition's rows.
 func joinPartition(r *Relation, sData []uint32, sw int, rRows, sRows []int32, plan joinPlan) []uint32 {
 	if len(rRows) == 0 || len(sRows) == 0 {
 		return nil
 	}
-	build := newGroupMap(len(rRows))
-	for _, ri := range rRows {
-		build.add(hashIDsAt(r.rowIDs(int(ri)), plan.rShared), ri)
+	build := newRowIndex(len(rRows))
+	for k := len(rRows) - 1; k >= 0; k-- {
+		build.insert(hashIDsAt(r.rowIDs(int(rRows[k])), plan.rShared), rRows[k])
 	}
 	w := plan.out.Len()
 	slab := make([]uint32, 0, w*max(len(rRows), len(sRows)))
@@ -268,19 +262,10 @@ func joinPartition(r *Relation, sData []uint32, sw int, rRows, sRows []int32, pl
 		buf = make([]uint32, w)
 	}
 	buf = buf[:w]
-	var one [1]int32
 	for _, sj := range sRows {
 		sRow := sData[int(sj)*sw : int(sj)*sw+sw]
-		first, chain, ok := build.lookup(hashIDsAt(sRow, plan.sShared))
-		if !ok {
-			continue
-		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, ri := range chain {
-			rRow := r.rowIDs(int(ri))
+		for e := build.find(hashIDsAt(sRow, plan.sShared)); e != 0; e = build.next(e) {
+			rRow := r.rowIDs(build.ord(e))
 			if !equalIDsAt(rRow, plan.rShared, sRow, plan.sShared) {
 				continue
 			}
@@ -315,23 +300,15 @@ func Semijoin(r, s *Relation) *Relation {
 	sShared := positions(s.schema, shared)
 	sData := alignedData(s, r.dict)
 	sw := s.schema.Len()
-	seen := newGroupMap(s.n)
+	seen := newRowIndex(s.n)
 	for j := 0; j < s.n; j++ {
-		seen.add(hashIDsAt(sData[j*sw:j*sw+sw], sShared), int32(j))
+		seen.insert(hashIDsAt(sData[j*sw:j*sw+sw], sShared), int32(j))
 	}
-	var one [1]int32
 	for i := 0; i < r.n; i++ {
 		row := r.rowIDs(i)
-		first, chain, ok := seen.lookup(hashIDsAt(row, rShared))
-		if !ok {
-			continue
-		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, sj := range chain {
-			sRow := sData[int(sj)*sw : int(sj)*sw+sw]
+		for e := seen.find(hashIDsAt(row, rShared)); e != 0; e = seen.next(e) {
+			sj := seen.ord(e)
+			sRow := sData[sj*sw : sj*sw+sw]
 			if equalIDsAt(row, rShared, sRow, sShared) {
 				out.appendIDs(row)
 				break

@@ -31,7 +31,7 @@ type Relation struct {
 	// index is the lazy membership index, published atomically because
 	// shared (memoized) relations answer membership questions from
 	// concurrent searchers; see ensureIndex.
-	index atomic.Pointer[groupMap]
+	index atomic.Pointer[rowIndex]
 	// partitions records how many hash partitions the parallel join
 	// used to build this state (0: built sequentially).
 	partitions int

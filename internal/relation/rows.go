@@ -2,14 +2,16 @@ package relation
 
 //joinlint:hotpath
 
+import "math/bits"
+
 // Row-slab internals. A Relation stores its state as one flat row-major
 // []uint32 slab of dictionary IDs (width = schema.Len()), with a lazy
-// hash index (64-bit FNV-1a over the IDs, collision-confirmed by ID
-// comparison) for dedup and membership. The slab layout means a join
-// emits rows by copying machine words, never allocating or hashing
-// strings, and the lazy index means derived relations whose rows are
-// duplicate-free by construction (join outputs, semijoins, selections)
-// never pay for an index at all.
+// hash index (a rowIndex of 64-bit FNV-1a hashes over the IDs,
+// collision-confirmed by ID comparison) for dedup and membership. The
+// slab layout means a join emits rows by copying machine words, never
+// allocating or hashing strings, and the lazy index means derived
+// relations whose rows are duplicate-free by construction (join
+// outputs, semijoins, selections) never pay for an index at all.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -59,50 +61,88 @@ func equalIDsAt(a []uint32, apos []int, b []uint32, bpos []int) bool {
 	return true
 }
 
-// groupMap maps 64-bit hashes to lists of row ordinals without paying
-// a slice-header allocation per distinct key: a hash with a single row
-// stores the ordinal directly in the map value, and only true hash
-// collisions spill into a chain. With a 64-bit hash over ID rows,
-// spills are vanishingly rare, so building a group map allocates O(1)
-// beyond the map itself.
-type groupMap struct {
-	m     map[uint64]int32
-	spill [][]int32
+// rowIndex is a bucket-chain hash table from 64-bit row hashes to row
+// ordinals. heads holds, per bucket, the 1-based position in ents of
+// the bucket's most recent entry, 0 meaning empty; each entry holds its
+// ordinal, its full hash and the position of the next entry in its
+// bucket. A bucket is the top bits of a multiply-shift of the FNV hash,
+// and lookups compare the full hash before the caller compares IDs.
+//
+// An index built for n rows allocates its two slices once and never
+// rehashes. Only an index that outgrows its size — rows appended to a
+// relation that already has one — doubles, relinking its entries from
+// the stored hashes. Buckets are most-recent-first, so a caller that
+// wants a key's rows back in row order inserts them in reverse.
+type rowIndex struct {
+	heads []int32
+	ents  []indexEntry
+	shift uint // 64 − log2(len(heads))
 }
 
-func newGroupMap(capacity int) groupMap {
-	return groupMap{m: make(map[uint64]int32, capacity)}
+type indexEntry struct {
+	hash uint64
+	ord  int32
+	next int32 // 1-based position of the next entry in the bucket, 0 at the end
 }
 
-// add records row ordinal i under hash h. Ordinals are non-negative;
-// a negative map value ^k points at spill chain k.
-func (g *groupMap) add(h uint64, i int32) {
-	v, ok := g.m[h]
-	if !ok {
-		g.m[h] = i
-		return
-	}
-	if v >= 0 {
-		g.m[h] = int32(^len(g.spill))
-		g.spill = append(g.spill, []int32{v, i})
-		return
-	}
-	g.spill[^v] = append(g.spill[^v], i)
+// newRowIndex returns an empty index sized for n entries.
+func newRowIndex(n int) rowIndex {
+	b := bits.Len(uint(max(n, 1) - 1))
+	return rowIndex{heads: make([]int32, 1<<b), ents: make([]indexEntry, 0, n), shift: uint(64 - b)}
 }
 
-// lookup returns the rows recorded under h: the common single-row case
-// comes back in first with chain nil; a spilled chain comes back in
-// chain.
-func (g *groupMap) lookup(h uint64) (first int32, chain []int32, ok bool) {
-	v, found := g.m[h]
-	if !found {
-		return 0, nil, false
-	}
-	if v >= 0 {
-		return v, nil, true
-	}
-	return 0, g.spill[^v], true
+// bucket maps a hash to its bucket (a Fibonacci multiply-shift, so every
+// bit of h reaches the top bits the bucket is taken from).
+func (t *rowIndex) bucket(h uint64) uint64 {
+	return (h * 0x9e3779b97f4a7c15) >> t.shift
 }
+
+// insert records row ordinal ord under hash h, at the front of its
+// bucket, doubling the table first if it is full.
+func (t *rowIndex) insert(h uint64, ord int32) {
+	if len(t.ents) >= len(t.heads) {
+		t.grow()
+	}
+	b := t.bucket(h)
+	t.ents = append(t.ents, indexEntry{hash: h, ord: ord, next: t.heads[b]})
+	t.heads[b] = int32(len(t.ents))
+}
+
+// grow doubles the bucket array and relinks every entry, oldest first,
+// so each bucket stays most-recent-first.
+func (t *rowIndex) grow() {
+	t.heads = make([]int32, 2*len(t.heads))
+	t.shift--
+	for i := range t.ents {
+		e := &t.ents[i]
+		b := t.bucket(e.hash)
+		e.next = t.heads[b]
+		t.heads[b] = int32(i + 1)
+	}
+}
+
+// find returns the position of the first entry hashed h, or 0.
+func (t *rowIndex) find(h uint64) int32 {
+	e := t.heads[t.bucket(h)]
+	for e != 0 && t.ents[e-1].hash != h {
+		e = t.ents[e-1].next
+	}
+	return e
+}
+
+// next returns the position of the next entry after e with e's hash,
+// or 0.
+func (t *rowIndex) next(e int32) int32 {
+	h := t.ents[e-1].hash
+	e = t.ents[e-1].next
+	for e != 0 && t.ents[e-1].hash != h {
+		e = t.ents[e-1].next
+	}
+	return e
+}
+
+// ord returns the row ordinal of entry e.
+func (t *rowIndex) ord(e int32) int { return int(t.ents[e-1].ord) }
 
 // rowIDs returns the i-th row of the slab as a shared subslice. The
 // caller must not modify it.
@@ -124,9 +164,9 @@ func (r *Relation) ensureIndex() {
 	if r.index.Load() != nil {
 		return
 	}
-	idx := newGroupMap(r.n)
+	idx := newRowIndex(r.n)
 	for i := 0; i < r.n; i++ {
-		idx.add(hashIDs(r.rowIDs(i)), int32(i))
+		idx.insert(hashIDs(r.rowIDs(i)), int32(i))
 	}
 	r.index.CompareAndSwap(nil, &idx)
 }
@@ -134,19 +174,15 @@ func (r *Relation) ensureIndex() {
 // lookupIDs returns the ordinal of the row equal to ids, or −1. The
 // index must already exist.
 func (r *Relation) lookupIDs(ids []uint32) int {
-	first, chain, ok := r.index.Load().lookup(hashIDs(ids))
-	if !ok {
-		return -1
-	}
-	if chain == nil {
-		if equalIDs(r.rowIDs(int(first)), ids) {
-			return int(first)
-		}
-		return -1
-	}
-	for _, cand := range chain {
-		if equalIDs(r.rowIDs(int(cand)), ids) {
-			return int(cand)
+	return r.lookupIn(r.index.Load(), hashIDs(ids), ids)
+}
+
+// lookupIn returns the ordinal of the row equal to ids, whose hash is
+// h, among the rows idx holds, or −1.
+func (r *Relation) lookupIn(idx *rowIndex, h uint64, ids []uint32) int {
+	for e := idx.find(h); e != 0; e = idx.next(e) {
+		if i := idx.ord(e); equalIDs(r.rowIDs(i), ids) {
+			return i
 		}
 	}
 	return -1
@@ -159,7 +195,7 @@ func (r *Relation) lookupIDs(ids []uint32) int {
 func (r *Relation) appendIDs(ids []uint32) {
 	r.data = append(r.data, ids...)
 	if idx := r.index.Load(); idx != nil {
-		idx.add(hashIDs(ids), int32(r.n))
+		idx.insert(hashIDs(ids), int32(r.n))
 	}
 	r.n++
 }
@@ -173,6 +209,34 @@ func (r *Relation) insertIDs(ids []uint32) bool {
 	}
 	r.appendIDs(ids)
 	return true
+}
+
+// dedupFrom drops every row at ordinal from or later that repeats an
+// earlier row, keeping first occurrences in order, and leaves the index
+// built over the rows kept. The rows before from must be distinct and
+// indexed; the first call, from 0, builds the index sized to the whole
+// slab, so it never regrows.
+func (r *Relation) dedupFrom(from int) {
+	idx := r.index.Load()
+	if idx == nil {
+		t := newRowIndex(r.n)
+		idx = &t
+		r.index.Store(idx)
+	}
+	w := r.schema.Len()
+	kept := from
+	for i := from; i < r.n; i++ {
+		row := r.rowIDs(i)
+		h := hashIDs(row)
+		if r.lookupIn(idx, h, row) >= 0 {
+			continue
+		}
+		copy(r.data[kept*w:kept*w+w], row)
+		idx.insert(h, int32(kept))
+		kept++
+	}
+	r.data = r.data[:kept*w]
+	r.n = kept
 }
 
 // scratchWidth is the widest row interned through a stack buffer; wider

@@ -19,7 +19,7 @@ import (
 
 // The load generator. One engine drives three consumers — cmd/joinload
 // over a real socket, the chaos test suite directly against the
-// handler, and the bench pipeline's serve section — so the acceptance
+// handler, and the cmd/joinbench serve workloads — so the acceptance
 // checks ("every shed carries Retry-After", "every request is answered
 // or typed") are asserted by the same code everywhere.
 
@@ -87,16 +87,17 @@ func (d ClientDoer) Do(ctx context.Context, method, path string, body []byte) (*
 // BuildRequestBodyMode encodes a ready-to-send request body for the
 // given database under a plan mode ("" or "exact" for exact planning,
 // "estimate"/"histogram" for the statistics-driven fast path) — the
-// helper cmd/joinload, the chaos suite and the bench pipeline all build
-// their mixes with.
+// helper cmd/joinload, the chaos suite and cmd/joinbench all build
+// their mixes with. The database is encoded compactly once; the plan
+// cache keys on the body's bytes, so the encoding must not change.
 func BuildRequestBodyMode(db *database.Database, tenant string, execute, noCache bool, planMode string) ([]byte, error) {
-	var dbJSON bytes.Buffer
-	if err := database.EncodeJSON(&dbJSON, db); err != nil {
+	dbJSON, err := database.MarshalJSON(db)
+	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(Request{
 		Tenant:   tenant,
-		Database: json.RawMessage(dbJSON.Bytes()),
+		Database: json.RawMessage(dbJSON),
 		Execute:  execute,
 		NoCache:  noCache,
 		PlanMode: planMode,

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"multijoin/internal/core"
 	"multijoin/internal/obs"
 	"multijoin/internal/strategy"
 )
@@ -23,12 +24,15 @@ import (
 const defaultPlanCacheCap = 256
 
 // cachedPlan is one cache entry: the plan tree plus how it was obtained,
-// so a hit can report the original rung and cost honestly.
+// so a hit can report the original rung and cost honestly, and the
+// database's statistics fingerprint, which a hit reports without
+// tallying the database again (the key digests the same bytes).
 type cachedPlan struct {
-	strategy  *strategy.Node
-	rung      Rung
-	cost      int64
-	estimated bool
+	strategy    *strategy.Node
+	rung        Rung
+	cost        int64
+	estimated   bool
+	fingerprint core.Fingerprint
 }
 
 // planCache is a concurrency-safe LRU from database digest to plan.

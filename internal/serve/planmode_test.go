@@ -129,9 +129,13 @@ func TestEstimateModeFillsPlanCache(t *testing.T) {
 		t.Fatalf("first estimate query: hit=%v len=%d", out.CacheHit, srv.CacheLen())
 	}
 
+	fp := out.Fingerprint
 	out = decode200(t, mustDo(t, doer, body("estimate", false)))
 	if !out.CacheHit || !out.Plan.Estimated {
 		t.Fatalf("repeat estimate query: hit=%v estimated=%v", out.CacheHit, out.Plan.Estimated)
+	}
+	if out.Fingerprint != fp {
+		t.Fatalf("estimate hit reports fingerprint %q, the miss %q", out.Fingerprint, fp)
 	}
 
 	// Exact request: the estimated entry must read as a miss.
@@ -152,6 +156,9 @@ func TestEstimateModeFillsPlanCache(t *testing.T) {
 	out = decode200(t, mustDo(t, doer, body("estimate", false)))
 	if !out.CacheHit || out.Plan.Estimated {
 		t.Fatalf("estimate query after exact fill: hit=%v estimated=%v", out.CacheHit, out.Plan.Estimated)
+	}
+	if out.Fingerprint != fp {
+		t.Fatalf("hit on the exact fill reports fingerprint %q, the miss %q", out.Fingerprint, fp)
 	}
 }
 

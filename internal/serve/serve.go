@@ -397,7 +397,6 @@ type httpError struct {
 // this request's trace.
 func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	db *database.Database, class TenantClass, plan chaosPlan, analyze bool) (*Response, *httpError) {
-	fp := core.FingerprintDB(db)
 	key := maphash.Bytes(s.seed, req.Database)
 	ev := database.NewEvaluator(db).WithRecorder(rt.rec)
 	// Decode already validated the mode; analyze requests always plan
@@ -413,13 +412,14 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 		// same database: an exact plan is at least as good as an
 		// estimated one.
 		if hit, ok := s.cache.get(key, planMode != PlanExact); ok {
-			if resp, ok := s.serveFromCache(ctx, rt, req, class, plan, ev, fp, hit); ok {
+			if resp, ok := s.serveFromCache(ctx, rt, req, class, plan, ev, hit); ok {
 				return resp, nil
 			}
 			// Executing the cached plan tripped a budget — fall through
 			// to the ladder, which owns degradation.
 		}
 	}
+	fp := core.FingerprintDB(db)
 
 	limits := s.chaos.applyLimits(plan, class.Limits())
 	out, err := runLadder(ladderRequest{
@@ -458,10 +458,11 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 		(planMode != PlanExact && out.rung == RungEstimate)
 	if !req.NoCache && fill {
 		s.cache.put(key, cachedPlan{
-			strategy:  out.strategy,
-			rung:      out.rung,
-			cost:      out.cost,
-			estimated: out.estimated,
+			strategy:    out.strategy,
+			rung:        out.rung,
+			cost:        out.cost,
+			estimated:   out.estimated,
+			fingerprint: fp,
 		})
 	}
 	if analyze && out.analysis != nil {
@@ -480,8 +481,7 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 // (answering rung's optimize+execute deltas == response guard spend)
 // holds on cache hits too.
 func (s *Server) serveFromCache(ctx context.Context, rt *requestTrace, req *Request,
-	class TenantClass, plan chaosPlan, ev *database.Evaluator,
-	fp core.Fingerprint, hit cachedPlan) (*Response, bool) {
+	class TenantClass, plan chaosPlan, ev *database.Evaluator, hit cachedPlan) (*Response, bool) {
 	rsp := rt.rec.StartSpan(obs.SpanRung(hit.rung.String()))
 	rsp.SetAttr("cached", "true")
 	osp := rt.rec.StartSpan(obs.SpanOptimize)
@@ -515,7 +515,7 @@ func (s *Server) serveFromCache(ctx context.Context, rt *requestTrace, req *Requ
 	esp.End()
 	out.snapshot = g.Snapshot()
 	rsp.End()
-	resp := s.buildResponse(ev.Database(), ev, out, fp)
+	resp := s.buildResponse(ev.Database(), ev, out, hit.fingerprint)
 	resp.CacheHit = true
 	return resp, true
 }
