@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"multijoin/internal/experiments"
 )
@@ -58,23 +57,7 @@ func main() {
 		selected = experiments.All()
 	}
 
-	failures := 0
-	for i, info := range selected {
-		if i > 0 {
-			fmt.Println()
-		}
-		start := time.Now()
-		sum := info.Run(os.Stdout)
-		status := "OK"
-		if !sum.OK {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("[%s] %s — %s (%d checks, %d violations, %s)\n",
-			status, info.ID, sum.Note, sum.Checked, sum.Violations,
-			time.Since(start).Round(time.Millisecond))
-	}
-	if failures > 0 {
+	if failures := experiments.RunAll(os.Stdout, selected); failures > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d experiment(s) failed their paper checks\n", failures)
 		os.Exit(1)
 	}

@@ -13,12 +13,12 @@ import (
 // Cacheable plan representation. A served system cannot afford to rerun
 // the subset DP for every request, so an optimization outcome must be
 // storable: a Plan is a name-free, index-based rendering of the strategy
-// tree together with how it was obtained. A Fingerprint — hypergraph
-// shape plus a statistics digest — identifies a database's shape and
-// statistics, not its data: two databases with equal cardinalities and
-// distinct counts share a fingerprint even when their joins differ, so
-// their τ and their optimal plans can differ too. A plan cache must key
-// by the data itself (serve digests the database's bytes).
+// tree. A Fingerprint — hypergraph shape plus a statistics digest —
+// identifies a database's shape and statistics, not its data: two
+// databases with equal cardinalities and distinct counts share a
+// fingerprint even when their joins differ, so their τ and their optimal
+// plans can differ too. A plan cache must key by the data itself (serve
+// digests the database's bytes).
 
 // Fingerprint digests a database's shape and statistics.
 type Fingerprint struct {
@@ -83,27 +83,12 @@ func FingerprintDB(db *database.Database) Fingerprint {
 }
 
 // Plan is the serializable, database-independent form of a chosen
-// strategy: the join tree over relation indexes, the method that chose
-// it, and its cost at planning time.
+// strategy: the join tree over relation indexes.
 type Plan struct {
 	// Expr is the strategy in index-based parenthesized form, e.g.
 	// "((0 1) 2)" — name-free so it binds to any database with the same
 	// relation count.
 	Expr string `json:"expr"`
-	// Method names the ladder rung that produced the plan: "dp",
-	// "yannakakis", "greedy" or "estimate".
-	Method string `json:"method"`
-	// Cost is τ(S) at planning time; for estimate plans it is the
-	// estimated τ rounded to integer.
-	Cost int64 `json:"cost"`
-	// Estimated marks plans costed by the statistics model rather than
-	// by execution.
-	Estimated bool `json:"estimated"`
-}
-
-// NewPlan renders a strategy into its cacheable form.
-func NewPlan(s *strategy.Node, method string, cost int64, estimated bool) Plan {
-	return Plan{Expr: EncodePlanExpr(s), Method: method, Cost: cost, Estimated: estimated}
 }
 
 // EncodePlanExpr renders a strategy tree in the index-based form Plan

@@ -49,7 +49,7 @@ func TestPlanRejectsMalformedExprs(t *testing.T) {
 func TestPlanNameFree(t *testing.T) {
 	db := paperex.Example1()
 	best := strategy.MustParse(db, "((R1 R2) (R3 R4))")
-	p := NewPlan(best, "dp", 42, false)
+	p := Plan{Expr: EncodePlanExpr(best)}
 	if strings.ContainsAny(p.Expr, "R") {
 		t.Fatalf("plan expr leaks relation names: %q", p.Expr)
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"sort"
 	"text/tabwriter"
+	"time"
 )
 
 // Info describes one experiment.
@@ -59,6 +60,29 @@ func All() []Info {
 func Lookup(id string) (Info, bool) {
 	info, ok := registry[id]
 	return info, ok
+}
+
+// RunAll runs the experiments in order and writes what cmd/experiments
+// prints: each one's table, then its "[OK] id — note (checks,
+// violations, time)" line ([FAIL] when a paper check failed), with a
+// blank line between experiments. It returns the number that failed.
+func RunAll(w io.Writer, infos []Info) (failures int) {
+	for i, info := range infos {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		start := time.Now()
+		sum := info.Run(w)
+		status := "OK"
+		if !sum.OK {
+			status = "FAIL"
+			failures++
+		}
+		fmt.Fprintf(w, "[%s] %s — %s (%d checks, %d violations, %s)\n",
+			status, info.ID, sum.Note, sum.Checked, sum.Violations,
+			time.Since(start).Round(time.Millisecond))
+	}
+	return failures
 }
 
 // table creates an aligned writer; callers must Flush it.

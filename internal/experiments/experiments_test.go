@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -80,4 +81,64 @@ func TestRunDiscardsCleanly(t *testing.T) {
 	if !sum.OK {
 		t.Fatal("E-ex2 failed on io.Discard")
 	}
+}
+
+// TestExperimentsMDIsHarnessOutput: EXPERIMENTS.md's "Full harness
+// output" block is what `go run ./cmd/experiments` prints, up to the
+// timings — each [OK]/[FAIL] line's trailing time and E-manyjoins' time
+// column. Regenerate the block with the command when a table changes.
+func TestExperimentsMDIsHarnessOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment; skipped in -short mode")
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(doc), "<!-- generated by cmd/experiments; do not edit by hand -->")
+	if ok {
+		_, block, ok = strings.Cut(block, "```\n")
+	}
+	if ok {
+		block, _, ok = strings.Cut(block, "```")
+	}
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced block after its generated marker")
+	}
+	var out bytes.Buffer
+	if failed := RunAll(&out, All()); failed != 0 {
+		t.Fatalf("%d experiments failed their paper checks", failed)
+	}
+	want, got := maskTimings(block), maskTimings(out.String())
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
+		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("EXPERIMENTS.md differs from the harness at block line %d:\n doc: %q\n run: %q", i+1, w, g)
+		}
+	}
+}
+
+// maskTimings splits harness output into lines with each timing
+// replaced by "T".
+func maskTimings(out string) []string {
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	section := ""
+	for i, line := range lines {
+		if strings.HasPrefix(line, "== ") {
+			section = strings.Fields(line)[1]
+		}
+		switch {
+		case strings.HasPrefix(line, "[OK] ") || strings.HasPrefix(line, "[FAIL] "):
+			lines[i] = line[:strings.LastIndex(line, ", ")] + ", T)"
+		case section == "E-manyjoins:" && (strings.HasPrefix(line, "chain ") || strings.HasPrefix(line, "cycle ")):
+			lines[i] = line[:strings.LastIndexByte(line, ' ')] + " T"
+		}
+	}
+	return lines
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"multijoin/internal/core"
 	"multijoin/internal/database"
@@ -18,7 +19,8 @@ import (
 // algorithms of strictly decreasing cost and decreasing guarantees:
 //
 //	dp          subset dynamic program — the full space's τ-optimum,
-//	            2^n states
+//	            2^n states; refused up front when its (3^n+1)/2 − 2^n
+//	            splits exceed the rung's state limit
 //	yannakakis  semijoin-reduced join tree — acyclic schemes only,
 //	            intermediates bounded by the output, polynomial
 //	greedy      O(n³) heuristic probe — no guarantee, executes joins
@@ -30,6 +32,11 @@ import (
 // rung plans purely from statistics, so every admitted request that
 // survives to its deadline gets *an* answer; the response records which
 // rung produced it and what tripped on the way down.
+//
+// A plan-cache hit re-enters the ladder at the entry's rung before the
+// descent: a dp or estimate entry executes its stored plan, a yannakakis
+// entry runs its rung again, and a hit that trips is a trip like any
+// other.
 
 // Rung identifies a ladder level, ordered best-first.
 type Rung int
@@ -91,17 +98,12 @@ type ladderOutcome struct {
 	strategy  *strategy.Node
 	cost      int64
 	estimated bool
-	// executed is set once the plan was materialized — by maybeExecute,
+	// executed is set once the plan was materialized — by executePlan,
 	// or by the yannakakis rung whose planning pass IS the execution —
-	// so the response knows a true result size exists even for
-	// estimate-mode plans (estimated provenance, measured cost).
-	executed bool
-	// resultSize carries the result size when a rung produced R_D during
-	// planning (the yannakakis rung); it saves the response builder from
-	// re-materializing the full join through the evaluator. Valid only
-	// when haveResult is set.
+	// and resultSize then holds |R_D|, estimate-mode plans included.
+	executed   bool
 	resultSize int
-	haveResult bool
+	cacheHit   bool // the plan-cache entry's rung answered
 	trips      []trip
 	// snapshot is the answering rung's final guard ledger.
 	snapshot guard.Snapshot
@@ -127,7 +129,7 @@ func (e *ladderError) Error() string {
 // Unwrap exposes the bottom rung's error for errors.Is/As.
 func (e *ladderError) Unwrap() error { return e.trips[len(e.trips)-1].err }
 
-// degraded reports whether the answer came from below the start rung.
+// degraded reports whether a rung tripped before the answering one.
 func (o *ladderOutcome) degraded() bool { return len(o.trips) > 0 }
 
 // ladderRequest carries everything one descent needs.
@@ -143,115 +145,150 @@ type ladderRequest struct {
 	// estimate modes start the descent directly at that rung and let it
 	// execute the chosen plan when execution was requested.
 	planMode PlanMode
-	// limitsFor derives the guard budgets for one rung attempt; tests
-	// inject trip-at-rung-k schedules through it.
+	// limits are every rung attempt's guard budgets. limitsFor, when
+	// set, derives them per rung instead; tests inject trip-at-rung-k
+	// schedules through it.
+	limits    guard.Limits
 	limitsFor func(Rung) guard.Limits
 	// execute materializes the chosen plan's steps under the rung's
 	// guard (query mode with execution requested). The estimate rung
 	// never executes.
 	execute bool
+	// cached is the request's plan-cache entry, valid when hit is set.
+	cached cachedPlan
+	hit    bool
 }
 
-// runLadder descends from req.start until a rung answers. The error
-// return is non-nil only when every rung failed — either the deadline
-// died (a typed governance error) or a genuine internal error surfaced,
-// which is never absorbed by degradation.
-func runLadder(req ladderRequest) (*ladderOutcome, error) {
-	out := &ladderOutcome{}
+// runLadder tries the plan-cache entry's rung first, then descends from
+// the request's own start rung (the entry may come from a class that
+// starts higher) until a rung answers. The error return is non-nil only
+// when every attempt failed — either the deadline died (a typed
+// governance error) or a genuine internal error surfaced, which is never
+// absorbed by degradation.
+func runLadder(req ladderRequest) (ladderOutcome, error) {
+	var out ladderOutcome
+	if req.hit {
+		err := attemptRung(req, req.cached.rung, true, &out)
+		if err == nil {
+			out.cacheHit = true
+			return out, nil
+		}
+		if !guard.Tripped(err) {
+			return ladderOutcome{}, err
+		}
+	}
 	start := req.start
-	// The yannakakis rung exists only for component-wise α-acyclic
-	// schemes; the check is scheme-only and costs a GYO pass.
-	acyclic := req.db.Graph().AcyclicComponents()
 	if req.planMode != PlanExact && !req.analyze {
 		// Estimate-driven planning is the fast path, not a degradation:
 		// skip every executing rung and plan from statistics directly.
 		start = RungEstimate
 	}
 	for rung := start; rung < rungCount; rung++ {
-		if rung == RungYannakakis && !acyclic {
+		// The yannakakis rung exists only for component-wise α-acyclic
+		// schemes; the check is scheme-only and costs a GYO pass.
+		if rung == RungYannakakis && !req.db.Graph().AcyclicComponents() {
 			continue
 		}
-		rsp := req.rec.StartSpan(obs.SpanRung(rung.String()))
-		g := guard.New(req.ctx, req.limitsFor(rung))
-		req.ev.WithGuard(g)
-		err := attemptRung(req, rung, g, out)
-		snap := g.Snapshot()
-		rsp.AddDelta(snap.Tuples.Spent, snap.States.Spent, snap.Steps.Spent)
+		err := attemptRung(req, rung, false, &out)
 		if err == nil {
-			rsp.End()
-			out.rung = rung
-			out.snapshot = snap
-			if out.degraded() {
-				req.rec.Counter(obs.MetricServeDegraded).Inc()
-				req.rec.Counter(obs.MetricDegradedTo(rung.String())).Inc()
-			}
 			return out, nil
 		}
-		rsp.Fail(err)
-		rsp.End()
 		if !guard.Tripped(err) {
-			return nil, err
+			return ladderOutcome{}, err
 		}
-		req.rec.Counter(obs.MetricServeTrips).Inc()
-		out.trips = append(out.trips, trip{rung: rung, err: err})
 	}
 	// Even the estimate rung failed: the deadline is dead (its only
 	// governed work is reading base-relation statistics). Surface the
 	// whole descent as one typed error.
-	return nil, &ladderError{trips: out.trips}
+	return ladderOutcome{}, &ladderError{trips: out.trips}
 }
 
-// attemptRung runs one rung under its fresh guard, wrapping the
-// planning work in an "optimize" span and any materialization in an
-// "execute" span. The guard-ledger readings at the span boundaries are
-// the spans' τ/state attribution, so the answering rung's optimize and
-// execute deltas sum exactly to the response's guard spend.
-func attemptRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) error {
+// attemptRung runs one rung under a fresh guard labelled with the
+// rung's name, in a "rung:<name>" span whose "optimize" child wraps the
+// planning work and whose "execute" child wraps any materialization.
+// The guard-ledger readings at the span boundaries are the spans'
+// τ/state attribution, so the answering rung's optimize and execute
+// deltas sum exactly to the response's guard spend. cached marks the
+// plan-cache entry's attempt, whose spans say cached="true". A trip is
+// recorded in out.trips.
+func attemptRung(req ladderRequest, rung Rung, cached bool, out *ladderOutcome) error {
+	rsp := req.rec.StartSpan(obs.SpanRung(rung.String()))
+	lim := req.limits
+	if req.limitsFor != nil {
+		lim = req.limitsFor(rung)
+	}
+	g := guard.New(req.ctx, lim)
+	g.SetPhase(rung.String())
+	req.ev.WithGuard(g)
 	osp := req.rec.StartSpan(obs.SpanOptimize)
-	err := planRung(req, rung, g, out)
+	if cached {
+		rsp.SetAttr("cached", "true")
+		osp.SetAttr("cached", "true")
+	}
+	err := planRung(req, rung, cached, g, out)
 	planned := g.Snapshot()
 	osp.AddDelta(planned.Tuples.Spent, planned.States.Spent, planned.Steps.Spent)
-	if err != nil {
-		osp.Fail(err)
-		osp.End()
-		return err
-	}
+	osp.Fail(err)
 	osp.End()
 
-	esp := req.rec.StartSpan(obs.SpanExecute)
-	if !req.execute || out.executed || (rung == RungEstimate && req.planMode == PlanExact) {
-		// On the degradation path the estimate rung never executes (it
-		// answers precisely because execution budgets are spent); in an
-		// estimate planning mode the chosen plan does execute when asked,
-		// reporting its true τ. The yannakakis rung executes during
-		// planning (the reduced join IS the method), so its execute span
-		// carries no separate work. Other rungs skip execution when the
-		// request did not ask for it. The span still appears, with zero
-		// deltas, so every answer carries the full taxonomy.
-		esp.SetAttr("skipped", "true")
+	if err == nil {
+		esp := req.rec.StartSpan(obs.SpanExecute)
+		if !req.execute || out.executed || (rung == RungEstimate && req.planMode == PlanExact) {
+			// On the degradation path the estimate rung never executes (it
+			// answers precisely because execution budgets are spent); in an
+			// estimate planning mode the chosen plan does execute when
+			// asked, reporting its true τ. The yannakakis rung executes
+			// during planning (the reduced join IS the method), so its
+			// execute span carries no separate work. Other rungs skip
+			// execution when the request did not ask for it. The span still
+			// appears, with zero deltas, so every answer carries the full
+			// taxonomy.
+			esp.SetAttr("skipped", "true")
+		} else {
+			err = req.executePlan(out)
+			final := g.Snapshot()
+			esp.AddDelta(final.Tuples.Spent-planned.Tuples.Spent,
+				final.States.Spent-planned.States.Spent,
+				final.Steps.Spent-planned.Steps.Spent)
+			esp.Fail(err)
+		}
 		esp.End()
-		return nil
 	}
-	err = req.maybeExecute(out)
-	final := g.Snapshot()
-	esp.AddDelta(final.Tuples.Spent-planned.Tuples.Spent,
-		final.States.Spent-planned.States.Spent,
-		final.Steps.Spent-planned.Steps.Spent)
-	if err != nil {
-		esp.Fail(err)
+
+	snap := g.Snapshot()
+	rsp.AddDelta(snap.Tuples.Spent, snap.States.Spent, snap.Steps.Spent)
+	rsp.Fail(err)
+	rsp.End()
+	switch {
+	case err == nil:
+		out.rung, out.snapshot = rung, snap
+		if out.degraded() {
+			req.rec.Counter(obs.MetricServeDegraded).Inc()
+			req.rec.Counter(obs.MetricDegradedTo(rung.String())).Inc()
+		}
+	case guard.Tripped(err):
+		req.rec.Counter(obs.MetricServeTrips).Inc()
+		out.trips = append(out.trips, trip{rung: rung, err: err})
 	}
-	esp.End()
 	return err
 }
 
 // planRung runs one rung's planning work, filling
 // out.strategy/cost/estimated (and out.analysis for analyze mode) on
-// success. Execution is the caller's concern. g is the rung's fresh
-// guard — the executing rungs charge it through the evaluator, the
-// estimate rung charges its model DP states directly.
-func planRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) error {
+// success; a cached dp or estimate entry's planning is reading its plan.
+// Execution is the caller's concern. g is the rung's fresh guard — the
+// executing rungs charge it through the evaluator, the estimate rung
+// charges its model DP states directly.
+func planRung(req ladderRequest, rung Rung, cached bool, g *guard.Guard, out *ladderOutcome) error {
+	if cached && rung != RungYannakakis {
+		out.strategy, out.cost, out.estimated = req.cached.strategy, req.cached.cost, req.cached.estimated
+		return nil
+	}
 	switch rung {
 	case RungDP:
+		if err := checkDPSplits(req.db.Len(), g); err != nil {
+			return err
+		}
 		if req.analyze {
 			an, err := core.AnalyzeEvaluator(req.ev)
 			if err != nil {
@@ -301,19 +338,16 @@ func planRung(req ladderRequest, rung Rung, g *guard.Guard, out *ladderOutcome) 
 // of the reduced relations along the same trees. Planning and execution
 // are one pass here — the reduced join IS the method and its cost is
 // measured, not estimated — so when execution was requested the result
-// produced during planning is kept and maybeExecute is skipped. The
-// reported strategy is the equivalent binary join-tree plan, which is
-// what the plan cache replays for repeat requests.
+// produced during planning is kept and executePlan is skipped. The
+// reported strategy is the equivalent binary join-tree plan.
 func yannakakisRung(req ladderRequest, g *guard.Guard, out *ladderOutcome) error {
 	ev, err := semijoin.YannakakisGuarded(req.db, g, req.rec)
 	if err != nil {
 		return err
 	}
 	out.strategy, out.cost, out.estimated = ev.Strategy, int64(ev.Tau()), false
-	if req.execute && ev.Result != nil {
-		out.resultSize = ev.Result.Size()
-		out.haveResult = true
-		out.executed = true
+	if req.execute {
+		out.resultSize, out.executed = ev.Result.Size(), true
 	}
 	return nil
 }
@@ -362,15 +396,37 @@ func estimateRung(req ladderRequest, g *guard.Guard, out *ladderOutcome) (err er
 	return nil
 }
 
-// maybeExecute materializes the plan's steps (charging the rung's
-// guard) when the request asked for execution; the trap converts a trip
-// during execution into this rung's failure, sending the ladder down.
-func (req ladderRequest) maybeExecute(out *ladderOutcome) (err error) {
-	if !req.execute {
-		return nil
-	}
+// executePlan materializes the plan's steps (charging the rung's guard)
+// and reads |R_D| from the final join they memoized, free of charge; the
+// trap converts a trip during execution into this rung's failure,
+// sending the ladder down.
+func (req ladderRequest) executePlan(out *ladderOutcome) (err error) {
 	defer guard.Trap(&err)
 	out.cost = int64(out.strategy.Cost(req.ev))
+	out.resultSize = req.ev.Size(req.db.All())
 	out.executed = true
 	return nil
+}
+
+// checkDPSplits refuses the full-space DP when its (3^n+1)/2 − 2^n
+// splits exceed the guard's state limit: the DP charges one state per
+// subset and none per split, so no budget bounds that work once it
+// starts. The refusal wraps a BudgetError, which guard.Tripped
+// classifies, and spends nothing.
+func checkDPSplits(n int, g *guard.Guard) error {
+	splits := int64(math.MaxInt64) // a lower bound: 3^n overflows past n = 40
+	if n <= 40 {
+		pow3 := uint64(1)
+		for range n {
+			pow3 *= 3
+		}
+		splits = int64((pow3+1)/2 - 1<<n)
+	}
+	snap := g.Snapshot()
+	limit := snap.States.Limit
+	if limit <= 0 || splits <= limit {
+		return nil
+	}
+	return fmt.Errorf("serve: dp refused: %d relations need at least %d splits, over the state limit %d: %w",
+		n, splits, limit, &guard.BudgetError{Resource: "states", Spent: snap.States.Spent, Limit: limit, Phase: snap.Phase})
 }

@@ -3,9 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"multijoin/internal/database"
+	"multijoin/internal/gen"
 	"multijoin/internal/guard"
 	"multijoin/internal/obs"
 	"multijoin/internal/paperex"
@@ -230,5 +235,73 @@ func TestLadderSkipsYannakakisOnCyclicScheme(t *testing.T) {
 	}
 	if len(out.trips) != 1 || out.trips[0].rung != RungDP {
 		t.Fatalf("trips = %+v, want exactly the dp trip", out.trips)
+	}
+}
+
+// TestDPRefusesUnboundedSplits: the full-space DP charges one state per
+// subset and none per split, so the dp rung refuses a scheme whose
+// (3^n+1)/2 − 2^n splits exceed its state limit, as a dp trip that spends
+// nothing, and a lower rung answers well inside the deadline. With one
+// row per relation no other budget stops the DP, which would run chain20
+// and cycle20 into standard's 2 s deadline.
+func TestDPRefusesUnboundedSplits(t *testing.T) {
+	_, doer, _ := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		shape gen.Shape
+		n     int
+		count string // the split count the refusal names, saturated past n = 40; "" answers at dp
+	}{
+		{gen.Chain, 20, "1742343625"},
+		{gen.Cycle, 20, "1742343625"},
+		{gen.Chain, 64, "9223372036854775807"},
+		{gen.Cycle, 60, "9223372036854775807"},
+		{gen.Chain, 11, ""},
+	} {
+		name := fmt.Sprintf("%v%d", tc.shape, tc.n)
+		db := gen.Uniform(rand.New(rand.NewSource(7)), gen.Schemes(tc.shape, tc.n), 1, 1)
+		body, err := BuildRequestBodyMode(db, "standard", true, true, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		out := decode200(t, mustDo(t, doer, body))
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s: answered after %v, half of standard's deadline", name, took)
+		}
+		if tc.count == "" {
+			if out.Rung != "dp" || len(out.Trips) != 0 {
+				t.Errorf("%s: answered at %q with trips %+v, want dp", name, out.Rung, out.Trips)
+			}
+			continue
+		}
+		if out.Rung == "dp" || len(out.Trips) == 0 || out.Trips[0].Rung != "dp" {
+			t.Fatalf("%s: answered at %q with trips %+v, want a dp trip", name, out.Rung, out.Trips)
+		}
+		if msg := out.Trips[0].Error; !strings.Contains(msg, `phase "dp"`) || !strings.Contains(msg, tc.count+" splits") {
+			t.Errorf("%s: dp trip %q names no phase dp or no count %s", name, msg, tc.count)
+		}
+	}
+}
+
+// TestDPSplitLimits: standard (200k states) refuses from n = 12, premium
+// (2M) from n = 14; an unlimited guard refuses nothing.
+func TestDPSplitLimits(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		states  int64
+		refused bool
+	}{
+		{11, 200_000, false}, {12, 200_000, true},
+		{13, 2_000_000, false}, {14, 2_000_000, true},
+		{64, 0, false},
+	} {
+		g := guard.New(context.Background(), guard.Limits{MaxStates: tc.states})
+		err := checkDPSplits(tc.n, g)
+		if (err != nil) != tc.refused || (err != nil && !guard.Tripped(err)) {
+			t.Errorf("n=%d, %d states: %v, want refused=%v and a governance error", tc.n, tc.states, err, tc.refused)
+		}
+		if _, states, _ := g.Spent(); states != 0 {
+			t.Errorf("n=%d: the check spent %d states", tc.n, states)
+		}
 	}
 }

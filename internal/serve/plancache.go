@@ -24,7 +24,7 @@ import (
 const defaultPlanCacheCap = 256
 
 // cachedPlan is one cache entry: the plan tree plus how it was obtained,
-// so a hit can report the original rung and cost honestly, and the
+// so a hit can re-enter the ladder at the rung that chose it, and the
 // database's statistics fingerprint, which a hit reports without
 // tallying the database again (the key digests the same bytes).
 type cachedPlan struct {

@@ -162,9 +162,11 @@ type PlanInfo struct {
 	Expr string `json:"expr"`
 	// Strategy is the same tree rendered with relation names.
 	Strategy string `json:"strategy"`
-	// Cost is τ of the plan — measured whenever the plan executed
-	// (including executed estimate-mode plans), otherwise the model's
-	// estimate rounded to an integer.
+	// Cost is τ of the plan on the request's database for dp, greedy
+	// and every executed plan; for yannakakis, τ of the join phase on
+	// the semijoin-reduced database (the semijoin tuples are in Guard).
+	// An unexecuted estimate plan reports the model's estimate, or the
+	// τ measured by the executed request that filled its cache entry.
 	Cost int64 `json:"cost"`
 	// Estimated marks plans chosen by the statistics model rather than
 	// exact τ, whatever their Cost was measured as afterwards.
@@ -177,7 +179,7 @@ type Response struct {
 	Tenant string `json:"tenant"`
 	// Rung names the ladder rung that produced the answer.
 	Rung string `json:"rung"`
-	// Degraded is true when Rung is below the class's start rung.
+	// Degraded is true when a rung, a cache hit's included, tripped.
 	Degraded bool `json:"degraded"`
 	// Trips lists the rungs that tripped before Rung answered.
 	Trips []TripInfo `json:"trips,omitempty"`

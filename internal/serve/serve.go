@@ -391,48 +391,44 @@ type httpError struct {
 	retryAfter int
 }
 
-// runRequest executes one admitted request: plan cache, then the
-// degradation ladder. The evaluator records against the request-scoped
+// runRequest executes one admitted request: the degradation ladder,
+// which tries the plan-cache entry for the request's database first
+// when there is one. The evaluator records against the request-scoped
 // recorder, so the ladder's spans and the engine's phase events land in
 // this request's trace.
 func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	db *database.Database, class TenantClass, plan chaosPlan, analyze bool) (*Response, *httpError) {
 	key := maphash.Bytes(s.seed, req.Database)
-	ev := database.NewEvaluator(db).WithRecorder(rt.rec)
 	// Decode already validated the mode; analyze requests always plan
 	// exactly, whatever the body says.
 	planMode, _ := ParsePlanMode(req.PlanMode)
 	if analyze {
 		planMode = PlanExact
 	}
-
+	lr := ladderRequest{
+		ctx:      ctx,
+		db:       db,
+		ev:       database.NewEvaluator(db).WithRecorder(rt.rec),
+		rec:      rt.rec,
+		start:    class.StartRung,
+		analyze:  analyze,
+		planMode: planMode,
+		execute:  analyze || req.Execute,
+		limits:   s.chaos.applyLimits(plan, class.Limits()),
+	}
 	if !analyze && !req.NoCache {
 		// Exact requests skip estimated entries — they owe the caller a
 		// τ-optimal plan. Estimate-mode requests accept any entry for the
 		// same database: an exact plan is at least as good as an
 		// estimated one.
-		if hit, ok := s.cache.get(key, planMode != PlanExact); ok {
-			if resp, ok := s.serveFromCache(ctx, rt, req, class, plan, ev, hit); ok {
-				return resp, nil
-			}
-			// Executing the cached plan tripped a budget — fall through
-			// to the ladder, which owns degradation.
-		}
+		lr.cached, lr.hit = s.cache.get(key, planMode != PlanExact)
 	}
-	fp := core.FingerprintDB(db)
+	fp := lr.cached.fingerprint // digested from the same database bytes
+	if !lr.hit {
+		fp = core.FingerprintDB(db)
+	}
 
-	limits := s.chaos.applyLimits(plan, class.Limits())
-	out, err := runLadder(ladderRequest{
-		ctx:       ctx,
-		db:        db,
-		ev:        ev,
-		rec:       rt.rec,
-		start:     class.StartRung,
-		analyze:   analyze,
-		planMode:  planMode,
-		execute:   analyze || req.Execute,
-		limitsFor: func(Rung) guard.Limits { return limits },
-	})
+	out, err := runLadder(lr)
 	if err != nil {
 		if guard.Tripped(err) {
 			return nil, &httpError{
@@ -448,15 +444,16 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 		return nil, &httpError{status: http.StatusInternalServerError, kind: "internal", msg: err.Error()}
 	}
 
-	resp := s.buildResponse(db, ev, out, fp)
+	resp := buildResponse(db, &out, fp)
 	// Cache fills: the DP's τ-optimal plans, the yannakakis rung's
 	// join-tree strategy and estimate-mode plans, each a pure function
 	// of the database the key digests. Greedy plans carry no guarantee,
 	// and degradation-path estimate answers (exact mode) exist because
 	// budgets tripped, not because planning finished: neither is cached.
+	// An answer from the entry itself is already stored.
 	fill := out.rung == RungDP || out.rung == RungYannakakis ||
 		(planMode != PlanExact && out.rung == RungEstimate)
-	if !req.NoCache && fill {
+	if !req.NoCache && fill && !out.cacheHit {
 		s.cache.put(key, cachedPlan{
 			strategy:    out.strategy,
 			rung:        out.rung,
@@ -473,60 +470,13 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 	return resp, nil
 }
 
-// serveFromCache answers a query from the plan cache, executing the
-// cached plan under a fresh guard when asked to. It reports !ok when
-// execution trips, sending the caller to the ladder. The rung span
-// mirrors the ladder's shape — a zero-cost cached "optimize" child,
-// then "execute" carrying the full guard spend — so the trace invariant
-// (answering rung's optimize+execute deltas == response guard spend)
-// holds on cache hits too.
-func (s *Server) serveFromCache(ctx context.Context, rt *requestTrace, req *Request,
-	class TenantClass, plan chaosPlan, ev *database.Evaluator, hit cachedPlan) (*Response, bool) {
-	rsp := rt.rec.StartSpan(obs.SpanRung(hit.rung.String()))
-	rsp.SetAttr("cached", "true")
-	osp := rt.rec.StartSpan(obs.SpanOptimize)
-	osp.SetAttr("cached", "true")
-	osp.End()
-
-	g := guard.New(ctx, s.chaos.applyLimits(plan, class.Limits()))
-	ev.WithGuard(g)
-	out := &ladderOutcome{
-		rung:      hit.rung,
-		strategy:  hit.strategy,
-		cost:      hit.cost,
-		estimated: hit.estimated,
-	}
-	esp := rt.rec.StartSpan(obs.SpanExecute)
-	if req.Execute {
-		err := (ladderRequest{ev: ev, execute: true}).maybeExecute(out)
-		snap := g.Snapshot()
-		esp.AddDelta(snap.Tuples.Spent, snap.States.Spent, snap.Steps.Spent)
-		rsp.AddDelta(snap.Tuples.Spent, snap.States.Spent, snap.Steps.Spent)
-		if err != nil {
-			esp.Fail(err)
-			esp.End()
-			rsp.Fail(err)
-			rsp.End()
-			return nil, false
-		}
-	} else {
-		esp.SetAttr("skipped", "true")
-	}
-	esp.End()
-	out.snapshot = g.Snapshot()
-	rsp.End()
-	resp := s.buildResponse(ev.Database(), ev, out, hit.fingerprint)
-	resp.CacheHit = true
-	return resp, true
-}
-
 // buildResponse renders a ladder outcome.
-func (s *Server) buildResponse(db *database.Database, ev *database.Evaluator,
-	out *ladderOutcome, fp core.Fingerprint) *Response {
+func buildResponse(db *database.Database, out *ladderOutcome, fp core.Fingerprint) *Response {
 	resp := &Response{
 		Rung:        out.rung.String(),
 		Degraded:    out.degraded(),
 		Trips:       tripInfos(out.trips),
+		CacheHit:    out.cacheHit,
 		Fingerprint: fp.String(),
 		Guard:       out.snapshot,
 		Plan: PlanInfo{
@@ -537,18 +487,8 @@ func (s *Server) buildResponse(db *database.Database, ev *database.Evaluator,
 		},
 	}
 	if out.executed {
-		if out.haveResult {
-			// The yannakakis rung materialized R_D itself; reading the
-			// size through the evaluator would redo the join as a binary
-			// plan, defeating the fast path.
-			size := out.resultSize
-			resp.ResultSize = &size
-		} else {
-			// The final join is memoized by the execution that just ran, so
-			// this lookup costs nothing and charges nothing.
-			size := ev.Size(db.All())
-			resp.ResultSize = &size
-		}
+		size := out.resultSize
+		resp.ResultSize = &size
 	}
 	return resp
 }

@@ -135,8 +135,8 @@ func TestTraceSpansReconcileWithGuard(t *testing.T) {
 	}
 }
 
-// TestTraceOnCacheHit pins the invariant on the cache-hit path, where
-// the rung span is synthesized outside the ladder.
+// TestTraceOnCacheHit pins the invariant on the cache-hit path, whose
+// rung span the ladder records as it does a miss's.
 func TestTraceOnCacheHit(t *testing.T) {
 	_, doer, _ := newTestServer(t, Config{})
 	body := mustBody(t, "standard", true, false)
