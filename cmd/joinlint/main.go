@@ -1,9 +1,9 @@
-// Command joinlint runs the project's static-analysis suite: twelve
-// analyzers that machine-check the engine's own invariants (guard/obs
-// mirroring, determinism of the cost-model core, stdio discipline,
-// panic-message and panic-boundary conventions, JSON schema tagging,
-// allocation discipline, span lifecycle, lock ordering, atomic-field
-// hygiene, context threading, and the metric-name registry).
+// Command joinlint runs the project's static-analysis suite: eleven
+// analyzers that machine-check the engine's own invariants (determinism
+// of the cost-model core, stdio discipline, panic-message and
+// panic-boundary conventions, JSON schema tagging, allocation
+// discipline, span lifecycle, lock ordering, atomic-field hygiene,
+// context threading, and the metric-name registry).
 //
 // Usage:
 //

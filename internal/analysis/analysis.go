@@ -7,10 +7,9 @@
 // The paper's program is to restrict a search space without losing the
 // optimum, and to prove the restriction sound (Theorems 1–3, conditions
 // C1–C4). The engine adopted the same posture for its own internals in
-// earlier work — every guard charge is mirrored by an obs counter so
-// `eval.tuples` reconciles with the τ ledger, the cost-model core is
-// deterministic so benches reproduce, goroutines sit behind panic
-// boundaries — but those invariants held only by convention. This
+// earlier work — the cost-model core is deterministic so benches
+// reproduce, goroutines sit behind panic boundaries, metric names come
+// from one registry — but those invariants held only by convention. This
 // package makes them checkable: `joinlint ./...` fails the build when a
 // new call site breaks one.
 //
@@ -31,7 +30,7 @@ import (
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
-	// Analyzer names the check that produced the finding ("guardmirror",
+	// Analyzer names the check that produced the finding ("determinism",
 	// …, or "lint" for driver-level directive problems).
 	Analyzer string
 	// Message describes the violation.

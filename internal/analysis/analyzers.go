@@ -3,7 +3,6 @@ package analysis
 // All returns the project's analyzer suite in the order joinlint runs
 // it. Each analyzer protects one engine invariant:
 //
-//	guardmirror    τ-accounting: obs counters reconcile with the guard ledger
 //	determinism    the cost-model core reproduces bit-for-bit for the bench pipeline
 //	nodirectio     library packages stay embeddable (no ambient stdio, no os.Exit)
 //	panicmsg       panic reports name the failing layer without a stack
@@ -17,7 +16,6 @@ package analysis
 //	metricnames    every obs metric/span name comes from the internal/obs/names.go registry
 func All() []*Analyzer {
 	return []*Analyzer{
-		GuardMirror,
 		Determinism,
 		NoDirectIO,
 		PanicMsg,

@@ -125,7 +125,6 @@ var goldenCases = []struct {
 	fixture string
 	relPath string
 }{
-	{GuardMirror, "guardmirror", "internal/database"},
 	{Determinism, "determinism", "internal/core"},
 	{NoDirectIO, "nodirectio", "internal/database"},
 	{PanicMsg, "panicmsg", "internal/relation"},
@@ -215,12 +214,6 @@ func TestAnalyzerAppliesScoping(t *testing.T) {
 		rel  string
 		want bool
 	}{
-		{GuardMirror, "internal/database", true},
-		{GuardMirror, "internal/optimizer", true},
-		{GuardMirror, "internal/core", true},
-		{GuardMirror, "internal/obs", false},
-		{GuardMirror, "cmd/joinopt", false},
-
 		{Determinism, "internal/database", true},
 		{Determinism, "", true},
 		{Determinism, "internal/obs", false},
@@ -294,7 +287,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		names[an.Name] = true
 	}
 	for _, wantName := range []string{
-		"guardmirror", "determinism", "nodirectio", "panicmsg",
+		"determinism", "nodirectio", "panicmsg",
 		"goroutineguard", "jsontags", "hotpath", "spanclose",
 		"lockorder", "atomicfield", "ctxflow", "metricnames",
 	} {

@@ -28,23 +28,6 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	}
 }
 
-// TestGuardMirrorCoversEvaluationPackages pins the analyzer's scope:
-// every package that charges a guard during evaluation — including the
-// semijoin layer, whose reduction sweeps charge per-semijoin — must be
-// under the τ-accounting mirror check.
-func TestGuardMirrorCoversEvaluationPackages(t *testing.T) {
-	for _, rel := range []string{
-		"internal/database", "internal/optimizer", "internal/core", "internal/semijoin",
-	} {
-		if !GuardMirror.Applies(rel) {
-			t.Errorf("guardmirror does not apply to %s", rel)
-		}
-	}
-	if GuardMirror.Applies("internal/relation") {
-		t.Error("guardmirror should not apply to the ungoverned relation kernel")
-	}
-}
-
 // TestLoaderFindsModule pins module discovery from a nested directory.
 func TestLoaderFindsModule(t *testing.T) {
 	root, modulePath, err := FindModule(".")

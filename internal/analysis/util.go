@@ -6,7 +6,13 @@ import (
 	"go/types"
 	"path"
 	"strconv"
-	"strings"
+)
+
+// guardPkg and obsPkg are the import paths of the governance and
+// observability packages several analyzers recognise by type.
+const (
+	guardPkg = "multijoin/internal/guard"
+	obsPkg   = "multijoin/internal/obs"
 )
 
 // importNames maps a file's local package identifiers to import paths
@@ -142,23 +148,6 @@ func callsRecover(info *types.Info, n ast.Node) bool {
 		return !found
 	})
 	return found
-}
-
-// receiverNamed reports whether a selector call's receiver expression
-// ends in an identifier whose lowercased name contains frag — the
-// project's counter-field naming convention (cTuples, cStates,
-// cStatesAll, cSteps, …).
-func receiverNamed(sel *ast.SelectorExpr, frag string) bool {
-	var last string
-	switch x := sel.X.(type) {
-	case *ast.Ident:
-		last = x.Name
-	case *ast.SelectorExpr:
-		last = x.Sel.Name
-	default:
-		return false
-	}
-	return strings.Contains(strings.ToLower(last), frag)
 }
 
 // namedTypeIs reports whether t (after pointer indirection) is the

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -242,6 +243,97 @@ func TestReduceRunsTheSemijoinProgramOnce(t *testing.T) {
 	}
 	if got := snap.Gauges[obs.MetricGuardSpentTuples]; got != want {
 		t.Errorf("guard.spent.tuples = %d, want Σ semijoin sizes + Σ join sizes = %d", got, want)
+	}
+}
+
+// TestLedgerReconcilesOnEveryPath runs every charging path of the
+// command on an acyclic and a cyclic scheme, ungoverned and under state
+// and tuple budgets of half the ungoverned spend, and requires each
+// metrics file to satisfy the guard.Ledger identity: the four counter
+// families sum to the guard's spend, tripped runs included.
+func TestLedgerReconcilesOnEveryPath(t *testing.T) {
+	inputs := []struct {
+		name    string
+		args    []string
+		acyclic bool
+	}{
+		{"chain4", []string{"-gen", "chain", "-n", "4", "-rows", "6", "-domain", "3"}, true},
+		{"cycle4", []string{"-gen", "cycle", "-n", "4", "-rows", "6", "-domain", "3"}, false},
+	}
+	paths := []struct {
+		name          string
+		args          []string
+		needsJoinTree bool // a cyclic scheme exits 3 before charging
+	}{
+		{"format json", []string{"-format", "json"}, false},
+		{"optima", []string{"-optima"}, false},
+		{"strategies", []string{"-strategies"}, false},
+		{"cost", []string{"-cost", "(((R0 R1) R2) R3)"}, false},
+		{"dot", []string{"-dot", "((R0 R1) (R2 R3))"}, false},
+		{"plan estimate", []string{"-plan", "estimate"}, false},
+		{"plan histogram", []string{"-plan", "histogram"}, false},
+		{"plan yannakakis", []string{"-plan", "yannakakis"}, true},
+		{"reduce", []string{"-reduce"}, true},
+	}
+	dir := t.TempDir()
+	metrics := func(t *testing.T, args []string, wantCodes ...int) *obs.Snapshot {
+		t.Helper()
+		m := filepath.Join(dir, "m.json")
+		_, errOut, code := run(t, append(append([]string(nil), args...), "-metrics-out", m)...)
+		if !slices.Contains(wantCodes, code) {
+			t.Fatalf("exit %d, want one of %v\n%s", code, wantCodes, errOut)
+		}
+		mf, err := os.Open(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mf.Close()
+		snap, err := obs.DecodeMetrics(mf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, g := snap.Counters, snap.Gauges
+		if got, want := c["eval.tuples"]+c["plan.yannakakis.tuples"], g["guard.spent.tuples"]; got != want {
+			t.Errorf("eval.tuples+plan.yannakakis.tuples = %d, guard.spent.tuples = %d", got, want)
+		}
+		if got, want := c["eval.states"]+c["dp.states"]+c["plan.states"]+c["plan.yannakakis.states"], g["guard.spent.states"]; got != want {
+			t.Errorf("eval.states+dp.states+plan.states+plan.yannakakis.states = %d, guard.spent.states = %d", got, want)
+		}
+		if got, want := c["eval.steps"]+c["plan.yannakakis.steps"], g["guard.spent.steps"]; got != want {
+			t.Errorf("eval.steps+plan.yannakakis.steps = %d, guard.spent.steps = %d", got, want)
+		}
+		return snap
+	}
+	for _, in := range inputs {
+		for _, p := range paths {
+			args := append(append([]string(nil), in.args...), p.args...)
+			rejected := p.needsJoinTree && !in.acyclic
+			t.Run(in.name+"/"+p.name, func(t *testing.T) {
+				if rejected {
+					snap := metrics(t, args, 3)
+					if spent := snap.Gauges["guard.spent.states"]; spent != 0 {
+						t.Errorf("a rejected cyclic scheme spent %d states", spent)
+					}
+					metrics(t, append(args, "-max-states", "1"), 3)
+					return
+				}
+				snap := metrics(t, args, 0)
+				for _, budget := range []struct{ flag, spent, limit string }{
+					{"-max-states", "guard.spent.states", "guard.limit.states"},
+					{"-max-tuples", "guard.spent.tuples", "guard.limit.tuples"},
+				} {
+					limit := snap.Gauges[budget.spent] / 2
+					if limit == 0 {
+						continue // nothing to trip
+					}
+					tripped := metrics(t, append(args, budget.flag, strconv.FormatInt(limit, 10)), 0, 4)
+					if spent := tripped.Gauges[budget.spent]; spent <= limit ||
+						tripped.Gauges[budget.limit] != limit {
+						t.Errorf("%s %d did not trip: spent %d", budget.flag, limit, spent)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -188,9 +188,7 @@ func AnalyzeEstimated(db *database.Database, model PlanModel,
 			est += size(st.Set())
 			steps++
 		}
-		cStates := rec.Counter(obs.MetricPlanStates)
-		cStates.Add(int64(steps))
-		if cerr := g.ChargeStates(steps); cerr != nil {
+		if cerr := guard.PlanLedger(g, rec).ChargeStates(steps); cerr != nil {
 			span.Fail(cerr)
 			span.End()
 			return nil, cerr

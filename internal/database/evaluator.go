@@ -59,15 +59,15 @@ type Evaluator struct {
 	memo  map[hypergraph.Set]memoEntry
 	guard *guard.Guard
 	rec   *obs.Recorder
+	// ledger charges the guard and counts into eval.*; rebuilt whenever
+	// the guard or the recorder changes.
+	ledger guard.Ledger
 
 	// Metric handles resolved once at attach time so the hot path pays
 	// an atomic add, not a registry lookup; all are the nil no-op
 	// handles when no recorder is attached.
 	cMemoHits   *obs.Counter
 	cMemoMisses *obs.Counter
-	cTuples     *obs.Counter
-	cStates     *obs.Counter
-	cSteps      *obs.Counter
 	cJoinParts  *obs.Counter
 	gIntern     *obs.Gauge
 }
@@ -128,6 +128,7 @@ func NewEvaluator(db *Database) *Evaluator {
 // A nil guard detaches governance.
 func (e *Evaluator) WithGuard(g *guard.Guard) *Evaluator {
 	e.guard = g
+	e.ledger = guard.EvalLedger(g, e.rec)
 	return e
 }
 
@@ -136,11 +137,10 @@ func (e *Evaluator) Guard() *guard.Guard { return e.guard }
 
 // WithRecorder attaches an observability recorder and returns the
 // evaluator. Every charge then counts into `eval.tuples` (the running τ
-// ledger), `eval.states` and `eval.steps` — the same quantities, charged
-// at the same points, as guard.Guard's budgets, so the metrics reconcile
-// exactly with guard.Snapshot() — and requests count into
-// `eval.memo.hits`/`eval.memo.misses`. The dictionary-encoded kernel
-// reports through two further handles:
+// ledger), `eval.states` and `eval.steps` through the evaluator's
+// guard.Ledger, so the metrics reconcile exactly with guard.Snapshot(),
+// and requests count into `eval.memo.hits`/`eval.memo.misses`. The
+// dictionary-encoded kernel reports through two further handles:
 // `join.partitions` accumulates, as each set is charged, the
 // hash-partition count of the join that built it when that join took
 // the parallel path (sequential joins, sized-only Cartesian products and
@@ -152,9 +152,7 @@ func (e *Evaluator) WithRecorder(rec *obs.Recorder) *Evaluator {
 	e.rec = rec
 	e.cMemoHits = rec.Counter(obs.MetricEvalMemoHits)
 	e.cMemoMisses = rec.Counter(obs.MetricEvalMemoMisses)
-	e.cTuples = rec.Counter(obs.MetricEvalTuples)
-	e.cStates = rec.Counter(obs.MetricEvalStates)
-	e.cSteps = rec.Counter(obs.MetricEvalSteps)
+	e.ledger = guard.EvalLedger(e.guard, rec)
 	e.cJoinParts = rec.Counter(obs.MetricJoinPartitions)
 	e.gIntern = rec.Gauge(obs.MetricEvalInternValues)
 	return e
@@ -237,20 +235,13 @@ func (e *Evaluator) request(s hypergraph.Set) memoEntry {
 	// memo lets a degradation fallback reuse it free of charge.
 	en.charged = true
 	e.memo[s] = en
-	// Count before the charge can abort, mirroring the guard's ledger
-	// semantics: a charge that trips is still spent.
-	e.cTuples.Add(int64(en.size))
-	e.cStates.Inc()
-	e.cSteps.Inc()
 	dict := e.db.Relation(first).Dict()
 	if en.rel != nil {
 		e.cJoinParts.Add(int64(en.rel.JoinPartitions()))
 		dict = en.rel.Dict()
 	}
 	e.gIntern.Set(int64(dict.Len()))
-	if e.guard != nil {
-		guard.Must(e.guard.ChargeEval(en.size))
-	}
+	guard.Must(e.ledger.ChargeEval(en.size))
 	return en
 }
 

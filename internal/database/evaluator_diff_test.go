@@ -245,7 +245,7 @@ func runReference(db *database.Database, lim guard.Limits) diffRun {
 			defer guard.Trap(&err)
 			res.Cost = math.MaxInt
 			strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
-				guard.Must(g.ChargeStates(1))
+				guard.Must(guard.DPLedger(g, nil).ChargeStates(1))
 				if c := cost(n); c < res.Cost {
 					res.Cost, res.Strategy = c, n
 				}

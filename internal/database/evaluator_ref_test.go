@@ -164,9 +164,7 @@ func (e *ReferenceEvaluator) compute(sh *refShard, s hypergraph.Set, latch chan 
 		e.cSteps.Inc()
 		e.cJoinParts.Add(int64(result.JoinPartitions()))
 		e.gIntern.Set(int64(result.Dict().Len()))
-		if e.guard != nil {
-			guard.Must(e.guard.ChargeEval(result.Size()))
-		}
+		guard.Must(guard.EvalLedger(e.guard, nil).ChargeEval(result.Size()))
 	}
 	return result
 }

@@ -154,6 +154,8 @@ type jsonDecoder struct {
 }
 
 // relation decodes the relation object at the cursor and appends it.
+// Every error about the relation names it, as
+// "relation <name> (index i): …", wherever "name" comes in the object.
 func (d *jsonDecoder) relation() error {
 	i := len(d.rels)
 	if i == hypergraph.MaxRelations {
@@ -162,6 +164,7 @@ func (d *jsonDecoder) relation() error {
 	}
 	l := d.l
 	var (
+		start  = l.Start()
 		name   string
 		ld     *relation.Loader // set once "attrs" has been read
 		rowsAt = -1             // offset of "rows" read before "attrs"
@@ -177,30 +180,35 @@ func (d *jsonDecoder) relation() error {
 			return err
 		case 1:
 			var err error
-			ld, err = d.attrs(i, name)
+			ld, err = d.attrs(name)
 			return err
 		case 2:
 			if ld == nil {
 				rowsAt = l.Start()
 				return l.Skip()
 			}
-			return d.rows(ld, i, name)
+			return d.rows(ld)
 		}
 		return l.Skip()
 	})
-	if err != nil {
-		return err
+	if err == nil && ld == nil {
+		err = errors.New("has no attributes")
 	}
-	if ld == nil {
-		return fmt.Errorf("database: relation %d (%s) has no attributes", i, name)
-	}
-	if rowsAt >= 0 {
+	if err == nil && rowsAt >= 0 {
 		end := l.Pos()
 		l.Seek(rowsAt)
-		if err := d.rows(ld, i, name); err != nil {
-			return err
-		}
+		err = d.rows(ld)
 		l.Seek(end)
+	}
+	if _, bare := err.(*jsonlex.SyntaxError); bare {
+		return err // malformed JSON, not a fault of the relation
+	}
+	if err != nil {
+		if name == "" {
+			// The error came before "name": read the object again for it.
+			name = d.laterName(start)
+		}
+		return fmt.Errorf("database: relation %s (index %d): %w", relName(name, i), i, err)
 	}
 	rel := ld.Relation()
 	if rel.Name() != name {
@@ -210,17 +218,40 @@ func (d *jsonDecoder) relation() error {
 	return nil
 }
 
-// attrs reads relation i's attribute list and returns a loader over it.
-func (d *jsonDecoder) attrs(i int, name string) (*relation.Loader, error) {
+// laterName reads the relation object at start again, skipping every
+// key but "name", and returns its name, or "" when it has none or the
+// object breaks off before it. Only the error path calls it.
+func (d *jsonDecoder) laterName(start int) string {
+	l := d.l
+	l.Seek(start)
+	var name string
+	// An object that breaks off before "name" leaves the relation
+	// anonymous; the caller is already reporting its error.
+	_ = l.Object(relationFields, func(field int, _ []byte) error {
+		if field != 0 {
+			return l.Skip()
+		}
+		if l.Null() {
+			return nil
+		}
+		s, err := l.String()
+		name = string(s)
+		return err
+	})
+	return name
+}
+
+// attrs reads a relation's attribute list and returns a loader over it.
+func (d *jsonDecoder) attrs(name string) (*relation.Loader, error) {
 	if d.l.Null() {
-		return nil, fmt.Errorf("database: relation %d (%s) has no attributes", i, name)
+		return nil, errors.New("has no attributes")
 	}
 	vals, err := d.l.Strings(d.vals[:0])
 	if err != nil {
-		return nil, fmt.Errorf("database: relation %s (index %d): attrs: %w", relName(name, i), i, err)
+		return nil, fmt.Errorf("attrs: %w", err)
 	}
 	if len(vals) == 0 {
-		return nil, fmt.Errorf("database: relation %d (%s) has no attributes", i, name)
+		return nil, errors.New("has no attributes")
 	}
 	attrs := make([]relation.Attr, len(vals))
 	for j, v := range vals {
@@ -228,13 +259,13 @@ func (d *jsonDecoder) attrs(i int, name string) (*relation.Loader, error) {
 	}
 	ld, ok := relation.NewLoader(d.dict, name, attrs)
 	if !ok {
-		return nil, fmt.Errorf("database: relation %d (%s) has duplicate attributes", i, name)
+		return nil, errors.New("has duplicate attributes")
 	}
 	return ld, nil
 }
 
-// rows reads relation i's rows into ld. A null "rows" holds no rows.
-func (d *jsonDecoder) rows(ld *relation.Loader, i int, name string) error {
+// rows reads a relation's rows into ld. A null "rows" holds no rows.
+func (d *jsonDecoder) rows(ld *relation.Loader) error {
 	if d.l.Null() {
 		return nil
 	}
@@ -247,8 +278,7 @@ func (d *jsonDecoder) rows(ld *relation.Loader, i int, name string) error {
 			err = ld.Add(vals)
 		}
 		if err != nil {
-			return fmt.Errorf("database: relation %s (index %d): JSON row %d: %w",
-				relName(name, i), i, row, err)
+			return fmt.Errorf("JSON row %d: %w", row, err)
 		}
 		return nil
 	})

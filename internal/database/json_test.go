@@ -96,6 +96,43 @@ func TestDecodeJSONErrorsCarryPosition(t *testing.T) {
 	}
 }
 
+// TestDecodeJSONErrorsNameTheRelation: every fault in a relation object
+// is reported as "relation <name> (index i): …", whichever of "name",
+// "attrs" and "rows" comes first, with #i only for an anonymous
+// relation.
+func TestDecodeJSONErrorsNameTheRelation(t *testing.T) {
+	faults := []struct {
+		name, attrs, rows, want string
+	}{
+		{"short row", `["X","Y"]`, `[["1","2"],["3"]]`, "JSON row 2: has 1 values, want 2"},
+		{"null in a row", `["X","Y"]`, `[["1",null]]`, "JSON row 1: "},
+		{"duplicate attrs", `["X","X"]`, `[["1","2"]]`, "has duplicate attributes"},
+		{"empty attrs", `[]`, `[["1"]]`, "has no attributes"},
+	}
+	orders := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	for _, f := range faults {
+		for _, named := range []bool{true, false} {
+			nameVal, prefix := `null`, "database: relation #1 (index 1): "
+			if named {
+				nameVal, prefix = `"Orders"`, "database: relation Orders (index 1): "
+			}
+			members := [3]string{`"name":` + nameVal, `"attrs":` + f.attrs, `"rows":` + f.rows}
+			for _, o := range orders {
+				obj := "{" + members[o[0]] + "," + members[o[1]] + "," + members[o[2]] + "}"
+				src := `{"relations":[{"name":"First","attrs":["A"],"rows":[["1"]]},` + obj + `]}`
+				_, err := DecodeJSON(strings.NewReader(src))
+				if err == nil {
+					t.Errorf("%s: DecodeJSON accepted %s", f.name, obj)
+					continue
+				}
+				if msg := err.Error(); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, f.want) {
+					t.Errorf("%s: %s: error %q, want %q…%q", f.name, obj, msg, prefix, f.want)
+				}
+			}
+		}
+	}
+}
+
 // TestDecodeJSONNewRejections pins the three inputs the encoding/json
 // decoder accepted and the single-pass decoder rejects: bytes after the
 // database, a repeated key (encoding/json merged the two values), and a

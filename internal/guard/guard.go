@@ -18,6 +18,11 @@
 // wrapping the context's error. Both carry the phase label current when
 // the limit tripped, so reports can name exactly what was cut.
 //
+// Code outside this package charges a Guard only through a Ledger,
+// which adds every charge to one family of obs counters before it
+// charges the guard, so the metrics and the guard's spend reconcile by
+// construction.
+//
 // All methods are safe on a nil *Guard (they become no-ops), so
 // ungoverned call paths keep working unchanged, and safe for concurrent
 // use, so joinserve's admission can read the Snapshot of a guard whose
@@ -39,6 +44,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"multijoin/internal/obs"
 )
 
 // ErrBudgetExceeded is the sentinel matched by errors.Is for every
@@ -293,14 +300,14 @@ func (g *Guard) Tick() error {
 	return nil
 }
 
-// ChargeEval charges one join step materializing resultTuples
+// chargeEval charges one join step materializing resultTuples
 // intermediate tuples plus one evaluator state, checking the fault
 // hook, the step, tuple and state budgets, and the context. The counts
 // stay charged even when a budget is exceeded, so the spend ledger
 // reflects work actually performed; budget checks compare the running
 // totals against the limits, which means a warm memo can still serve a
 // degradation fallback after a trip (memo hits charge nothing).
-func (g *Guard) ChargeEval(resultTuples int) error {
+func (g *Guard) chargeEval(resultTuples int) error {
 	if g == nil {
 		return nil
 	}
@@ -332,10 +339,10 @@ func (g *Guard) ChargeEval(resultTuples int) error {
 	return nil
 }
 
-// ChargeStates charges n DP states against the state budget (the
-// optimizer's counterpart of ChargeEval; DP states examine memoized
+// chargeStates charges n DP states against the state budget (the
+// optimizer's counterpart of chargeEval; DP states examine memoized
 // sizes but materialize nothing new).
-func (g *Guard) ChargeStates(n int) error {
+func (g *Guard) chargeStates(n int) error {
 	if g == nil {
 		return nil
 	}
@@ -346,6 +353,70 @@ func (g *Guard) ChargeStates(n int) error {
 		return &BudgetError{Resource: "states", Spent: g.states, Limit: g.lim.MaxStates, Phase: g.phase}
 	}
 	return nil
+}
+
+// Ledger pairs a guard with one family of obs counters and is the only
+// way to charge a guard from outside this package. Each charge adds to
+// the family's counters first and then charges the guard, so a charge
+// that trips is counted on both sides, and the four families sum to the
+// guard's ledger by construction:
+//
+//	eval.tuples + plan.yannakakis.tuples == tuples spent
+//	eval.states + dp.states + plan.states + plan.yannakakis.states == states spent
+//	eval.steps + plan.yannakakis.steps == steps spent
+//
+// A nil guard and a nil recorder are both no-ops, so a ledger over
+// either half charges only the other. The zero Ledger charges nothing.
+type Ledger struct {
+	g                     *Guard
+	tuples, states, steps *obs.Counter
+}
+
+// EvalLedger is the memoizing evaluator's family: eval.tuples,
+// eval.states and eval.steps.
+func EvalLedger(g *Guard, rec *obs.Recorder) Ledger {
+	return Ledger{g: g,
+		tuples: rec.Counter(obs.MetricEvalTuples),
+		states: rec.Counter(obs.MetricEvalStates),
+		steps:  rec.Counter(obs.MetricEvalSteps),
+	}
+}
+
+// DPLedger is the exact optimizers' family, dp.states: the subset DPs,
+// greedy, exhaustive enumeration and greedy with early stopping.
+func DPLedger(g *Guard, rec *obs.Recorder) Ledger {
+	return Ledger{g: g, states: rec.Counter(obs.MetricDPStates)}
+}
+
+// PlanLedger is estimate-costed planning's family, plan.states: the
+// model DPs, model greedy and the costing of the acyclic join tree.
+func PlanLedger(g *Guard, rec *obs.Recorder) Ledger {
+	return Ledger{g: g, states: rec.Counter(obs.MetricPlanStates)}
+}
+
+// YannakakisLedger is the acyclic fast path's family:
+// plan.yannakakis.tuples, .states and .steps.
+func YannakakisLedger(g *Guard, rec *obs.Recorder) Ledger {
+	return Ledger{g: g,
+		tuples: rec.Counter(obs.MetricYannakakisTuples),
+		states: rec.Counter(obs.MetricYannakakisStates),
+		steps:  rec.Counter(obs.MetricYannakakisSteps),
+	}
+}
+
+// ChargeEval counts and charges one join step that materialized
+// resultTuples tuples: that many tuples, one state and one step.
+func (l Ledger) ChargeEval(resultTuples int) error {
+	l.tuples.Add(int64(resultTuples))
+	l.states.Inc()
+	l.steps.Inc()
+	return l.g.chargeEval(resultTuples)
+}
+
+// ChargeStates counts and charges n states that materialized nothing.
+func (l Ledger) ChargeStates(n int) error {
+	l.states.Add(int64(n))
+	return l.g.chargeStates(n)
 }
 
 // --- abort / recovery machinery ---

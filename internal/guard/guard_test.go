@@ -7,7 +7,66 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"multijoin/internal/obs"
 )
+
+// TestLedger: a ledger counts into its family before charging, so the
+// charge that trips is on both sides when the error returns; its nil
+// guard and nil counters are no-ops.
+func TestLedger(t *testing.T) {
+	rec := obs.NewRecorder()
+	g := New(context.Background(), Limits{MaxTuples: 10, MaxStates: 3})
+	ev := EvalLedger(g, rec)
+	if err := ev.ChargeEval(6); err != nil {
+		t.Fatal(err)
+	}
+	var be *BudgetError
+	if err := ev.ChargeEval(6); !errors.As(err, &be) || be.Resource != "tuples" {
+		t.Fatalf("second charge: %v, want a tuples BudgetError", err)
+	}
+	if err := DPLedger(g, rec).ChargeStates(2); !errors.As(err, &be) || be.Resource != "states" {
+		t.Fatalf("dp charge: %v, want a states BudgetError", err)
+	}
+	counters := map[string]int64{
+		obs.MetricEvalTuples: 12, obs.MetricEvalStates: 2, obs.MetricEvalSteps: 2,
+		obs.MetricDPStates: 2,
+	}
+	for name, want := range counters {
+		if got := rec.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if tuples, states, steps := g.Spent(); tuples != 12 || states != 4 || steps != 2 {
+		t.Errorf("spent %d/%d/%d, want 12/4/2", tuples, states, steps)
+	}
+
+	unguarded := obs.NewRecorder()
+	for _, l := range []Ledger{
+		{}, YannakakisLedger(nil, nil), PlanLedger(nil, unguarded), YannakakisLedger(nil, unguarded),
+	} {
+		if err := l.ChargeEval(1 << 40); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.ChargeStates(1 << 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// ChargeEval's one state plus ChargeStates's.
+	if got := unguarded.Counter(obs.MetricPlanStates).Value(); got != 1<<30+1 {
+		t.Errorf("plan.states = %d without a guard, want %d", got, 1<<30+1)
+	}
+	if got := unguarded.Counter(obs.MetricYannakakisTuples).Value(); got != 1<<40 {
+		t.Errorf("plan.yannakakis.tuples = %d without a guard, want %d", got, int64(1)<<40)
+	}
+	nilGuarded := New(context.Background(), Limits{MaxStates: 1})
+	if err := PlanLedger(nilGuarded, nil).ChargeStates(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, states, _ := nilGuarded.Spent(); states != 1 {
+		t.Errorf("a ledger with nil counters charged %d states, want 1", states)
+	}
+}
 
 func TestNilGuardIsNoOp(t *testing.T) {
 	var g *Guard
@@ -17,10 +76,10 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	if err := g.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ChargeEval(1 << 40); err != nil {
+	if err := g.chargeEval(1 << 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ChargeStates(1 << 30); err != nil {
+	if err := g.chargeStates(1 << 30); err != nil {
 		t.Fatal(err)
 	}
 	g.SetPhase("ignored")
@@ -35,10 +94,10 @@ func TestNilGuardIsNoOp(t *testing.T) {
 func TestTupleBudget(t *testing.T) {
 	g := New(nil, Limits{MaxTuples: 10})
 	g.SetPhase("optimize:all")
-	if err := g.ChargeEval(10); err != nil {
+	if err := g.chargeEval(10); err != nil {
 		t.Fatalf("at the limit: %v", err)
 	}
-	err := g.ChargeEval(1)
+	err := g.chargeEval(1)
 	if err == nil {
 		t.Fatal("over the limit must fail")
 	}
@@ -59,13 +118,13 @@ func TestTupleBudget(t *testing.T) {
 
 func TestStateBudgetSharedByEvalAndDP(t *testing.T) {
 	g := New(nil, Limits{MaxStates: 3})
-	if err := g.ChargeEval(0); err != nil {
+	if err := g.chargeEval(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ChargeStates(2); err != nil {
+	if err := g.chargeStates(2); err != nil {
 		t.Fatal(err)
 	}
-	err := g.ChargeStates(1)
+	err := g.chargeStates(1)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != "states" {
 		t.Fatalf("want states budget error, got %v", err)
@@ -74,14 +133,14 @@ func TestStateBudgetSharedByEvalAndDP(t *testing.T) {
 
 func TestStepBudget(t *testing.T) {
 	g := New(nil, Limits{MaxSteps: 2})
-	if err := g.ChargeEval(0); err != nil {
+	if err := g.chargeEval(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ChargeEval(0); err != nil {
+	if err := g.chargeEval(0); err != nil {
 		t.Fatal(err)
 	}
 	var be *BudgetError
-	if err := g.ChargeEval(0); !errors.As(err, &be) || be.Resource != "steps" {
+	if err := g.chargeEval(0); !errors.As(err, &be) || be.Resource != "steps" {
 		t.Fatalf("want steps budget error, got %v", err)
 	}
 }
@@ -105,7 +164,7 @@ func TestCancellation(t *testing.T) {
 	if !Tripped(err) {
 		t.Fatal("cancellation is a governance trip")
 	}
-	if err := g.ChargeEval(1); !errors.As(err, &ce) {
+	if err := g.chargeEval(1); !errors.As(err, &ce) {
 		t.Fatalf("charges observe cancellation: %v", err)
 	}
 }
@@ -136,15 +195,15 @@ func TestTickPollsContext(t *testing.T) {
 func TestFaultInjection(t *testing.T) {
 	g := New(nil, Limits{FaultStep: 3})
 	for i := 0; i < 2; i++ {
-		if err := g.ChargeEval(5); err != nil {
+		if err := g.chargeEval(5); err != nil {
 			t.Fatalf("step %d: %v", i+1, err)
 		}
 	}
-	if err := g.ChargeEval(5); !errors.Is(err, ErrFaultInjected) {
+	if err := g.chargeEval(5); !errors.Is(err, ErrFaultInjected) {
 		t.Fatalf("want injected fault at step 3, got %v", err)
 	}
 	// The fault is sticky: later steps keep failing deterministically.
-	if err := g.ChargeEval(5); !errors.Is(err, ErrFaultInjected) {
+	if err := g.chargeEval(5); !errors.Is(err, ErrFaultInjected) {
 		t.Fatal("fault must persist past its step")
 	}
 	if !Tripped(ErrFaultInjected) {
@@ -153,16 +212,16 @@ func TestFaultInjection(t *testing.T) {
 
 	custom := errors.New("boom")
 	g2 := New(nil, Limits{FaultStep: 1, FaultErr: custom})
-	if err := g2.ChargeEval(0); !errors.Is(err, custom) {
+	if err := g2.chargeEval(0); !errors.Is(err, custom) {
 		t.Fatalf("custom fault error lost: %v", err)
 	}
 }
 
 func TestSpentLedger(t *testing.T) {
 	g := New(nil, Limits{MaxTuples: 5})
-	g.ChargeEval(4)
-	g.ChargeEval(4) // trips, but still charged
-	g.ChargeStates(7)
+	g.chargeEval(4)
+	g.chargeEval(4) // trips, but still charged
+	g.chargeStates(7)
 	tuples, states, steps := g.Spent()
 	if tuples != 8 || states != 9 || steps != 2 {
 		t.Fatalf("ledger wrong: tuples=%d states=%d steps=%d", tuples, states, steps)
@@ -222,7 +281,7 @@ func TestMustNilIsNoOp(t *testing.T) {
 	Must(nil) // must not panic
 }
 
-// TestSnapshotAtomicity hammers ChargeEval from many goroutines (each
+// TestSnapshotAtomicity hammers chargeEval from many goroutines (each
 // charge adds exactly one step, one state and one tuple) while snapshots
 // are taken concurrently. Every snapshot must be internally consistent —
 // equal tuple/state/step spends — which the torn Spent()+Phase() pair
@@ -249,7 +308,7 @@ func TestSnapshotAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_ = g.ChargeEval(1)
+				_ = g.chargeEval(1)
 			}
 		}()
 	}
@@ -269,7 +328,7 @@ func TestSnapshotAtomicity(t *testing.T) {
 // tripped-run report prints.
 func TestSnapshotCarriesLimits(t *testing.T) {
 	g := New(context.Background(), Limits{MaxTuples: 10, MaxStates: 20, MaxSteps: 30})
-	_ = g.ChargeEval(4)
+	_ = g.chargeEval(4)
 	s := g.Snapshot()
 	if s.Tuples != (Usage{Spent: 4, Limit: 10}) {
 		t.Errorf("tuples = %+v", s.Tuples)
@@ -330,7 +389,7 @@ func TestSnapshotDeadlineRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = g.ChargeEval(3) // trips past 100 and keeps charging
+				_ = g.chargeEval(3) // trips past 100 and keeps charging
 			}
 		}()
 	}

@@ -45,8 +45,9 @@ const (
 // Estimate-costed planning metrics (internal/optimizer model searches,
 // internal/core AnalyzeEstimated). The per-subspace plan.<space>.*
 // family is built by the MetricPlanSpace* builders below; plan.states
-// is the shared ledger reconciling with guard.ChargeStates the way
-// dp.states does for the exact pipeline.
+// is guard.PlanLedger's family, the planning pipeline's term of the
+// guard's state ledger as dp.states (guard.DPLedger) is the exact
+// pipeline's.
 const (
 	MetricPlanStates       = "plan.states"
 	MetricPlanWall         = "plan.wall"
@@ -88,9 +89,9 @@ const (
 const MetricAnalyzeParallelWall = "analyze.parallel.wall"
 
 // Acyclic fast-path metrics (internal/semijoin, internal/core): the
-// governed Bernstein–Chiu reducer and the Yannakakis join phase mirror
-// every guard charge into this one family, so the guard ledger and the
-// plan.yannakakis.* counters reconcile exactly — including on runs a
+// governed Bernstein–Chiu reducer and the Yannakakis join phase charge
+// the guard through guard.YannakakisLedger, so the guard ledger and the
+// tuples/states/steps counters reconcile exactly — including on runs a
 // budget tripped mid-reduction.
 const (
 	MetricYannakakisTuples    = "plan.yannakakis.tuples"

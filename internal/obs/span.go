@@ -108,7 +108,7 @@ func (sp *Span) SetAttr(key, value string) {
 // AddDelta attributes guard spend — tuples, states, steps — to the
 // span. Callers compute the deltas from guard snapshots taken at the
 // span's boundaries, so the charge sites themselves stay untouched and
-// the guardmirror reconciliation is undisturbed.
+// the guard.Ledger reconciliation is undisturbed.
 func (sp *Span) AddDelta(tuples, states, steps int64) {
 	if sp == nil {
 		return

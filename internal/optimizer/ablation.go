@@ -43,8 +43,8 @@ func optimizeNoCPNaive(ev *database.Evaluator) (res Result, err error) {
 	}
 
 	rec := ev.Recorder()
+	ledger := guard.DPLedger(ev.Guard(), rec)
 	cStates := rec.Counter(obs.MetricDPAblationStates)
-	cStatesAll := rec.Counter(obs.MetricDPStates)
 	cost := make(map[hypergraph.Set]int)
 	pick := make(map[hypergraph.Set][2]hypergraph.Set)
 	var solve func(s hypergraph.Set) int
@@ -56,8 +56,7 @@ func optimizeNoCPNaive(ev *database.Evaluator) (res Result, err error) {
 			return c
 		}
 		cStates.Inc()
-		cStatesAll.Inc() // before the charge, so a trip still reconciles
-		guard.Must(ev.Guard().ChargeStates(1))
+		guard.Must(ledger.ChargeStates(1))
 		best := math.MaxInt
 		var bestSplit [2]hypergraph.Set
 		s.ProperSubsetPairs(func(a, b hypergraph.Set) bool {

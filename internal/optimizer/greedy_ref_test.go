@@ -65,7 +65,7 @@ func greedyRef(ev *database.Evaluator) (res optimizer.Result, err error) {
 			for j := i + 1; j < len(pool); j++ {
 				cStates.Inc()
 				cStatesAll.Inc()
-				guard.Must(gd.ChargeStates(1))
+				guard.Must(guard.DPLedger(gd, nil).ChargeStates(1))
 				a, b := pool[i].Set(), pool[j].Set()
 				c := refCand{
 					i: i, j: j,
@@ -110,7 +110,7 @@ func greedyModelRef(db *database.Database, size optimizer.SizeModel,
 			for j := i + 1; j < len(pool); j++ {
 				cStates.Inc()
 				cStatesAll.Inc()
-				guard.Must(g.ChargeStates(1))
+				guard.Must(guard.PlanLedger(g, nil).ChargeStates(1))
 				states++
 				a, b := pool[i].Set(), pool[j].Set()
 				c := refCand{

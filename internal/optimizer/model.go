@@ -47,9 +47,10 @@ func OptimizeModel(db *database.Database, size SizeModel, space Space) (ModelRes
 
 // OptimizeModelObserved is OptimizeModel under governance and
 // observability: each DP state charges the guard's state budget
-// (mirrored in the plan.<space>.states / plan.states counters, so the
-// planning ledger reconciles like the exact DP's), and the subspace's
-// wall time lands in plan.<space>.wall. Either g or rec may be nil.
+// through guard.PlanLedger (counted in plan.states, and per space in
+// plan.<space>.states), so the planning ledger reconciles like the
+// exact DP's, and the subspace's wall time lands in plan.<space>.wall.
+// Either g or rec may be nil.
 func OptimizeModelObserved(db *database.Database, size SizeModel, space Space,
 	g *guard.Guard, rec *obs.Recorder) (res ModelResult, err error) {
 	defer guard.Trap(&err)
@@ -61,7 +62,7 @@ func OptimizeModelObserved(db *database.Database, size SizeModel, space Space,
 	if err := db.Validate(); err != nil {
 		return ModelResult{}, err
 	}
-	o := newDP(db, size, g, rec, space, planCounters(rec, space))
+	o := newDP(db, size, guard.PlanLedger(g, rec), rec, space, planCounters(rec, space))
 	defer rec.Timer(obs.MetricPlanSpaceWall(space.String())).Start().Stop()
 	all := db.All()
 	cost := o.solve(all)
@@ -76,13 +77,11 @@ func OptimizeModelObserved(db *database.Database, size SizeModel, space Space,
 	}, nil
 }
 
-// planCounters resolves the planning pipeline's per-subspace counters
-// (the plan.<space>.* family, with plan.states as the shared ledger
-// mirroring guard.ChargeStates).
-func planCounters(rec *obs.Recorder, space Space) [4]*obs.Counter {
-	return [4]*obs.Counter{
+// planCounters resolves the planning pipeline's per-subspace counters,
+// the plan.<space>.* family.
+func planCounters(rec *obs.Recorder, space Space) [3]*obs.Counter {
+	return [3]*obs.Counter{
 		rec.Counter(obs.MetricPlanSpaceStates(space.String())),
-		rec.Counter(obs.MetricPlanStates),
 		rec.Counter(obs.MetricPlanSpacePruned(space.String())),
 		rec.Counter(obs.MetricPlanSpaceCartesian(space.String())),
 	}
@@ -95,7 +94,7 @@ func planCounters(rec *obs.Recorder, space Space) [4]*obs.Counter {
 // safe for concurrent use — and its total tie-break order (size, then
 // linked pairs, then lowest indexes), so on a model that equals the
 // exact sizes it picks the same strategy. Each probed pair charges the
-// guard's state budget (mirrored in plan.greedy.states / plan.states),
+// guard's state budget (counted in plan.greedy.states / plan.states),
 // and the heuristic's wall time lands in plan.greedy.wall. Either g or
 // rec may be nil.
 func GreedyModel(db *database.Database, size SizeModel,
@@ -104,10 +103,9 @@ func GreedyModel(db *database.Database, size SizeModel,
 	if err := db.Validate(); err != nil {
 		return ModelResult{}, err
 	}
-	cStates := rec.Counter(obs.MetricPlanGreedyStates)
-	cStatesAll := rec.Counter(obs.MetricPlanStates)
 	defer rec.Timer(obs.MetricPlanGreedyWall).Start().Stop()
-	root, est, states := greedyLoop(db, size, g, cStates, cStatesAll)
+	root, est, states := greedyLoop(db, size,
+		guard.PlanLedger(g, rec), rec.Counter(obs.MetricPlanGreedyStates))
 	return ModelResult{Space: SpaceGreedy, Strategy: root, Est: est, States: states}, nil
 }
 
@@ -127,10 +125,9 @@ func GreedyModel(db *database.Database, size SizeModel,
 // on which caller it serves.
 func GreedyEarlyStop(ev *database.Evaluator) Result {
 	db := ev.Database()
-	gd := ev.Guard()
 	rec := ev.Recorder()
+	ledger := guard.DPLedger(ev.Guard(), rec)
 	cStates := rec.Counter(obs.MetricGreedyEarlyStates)
-	cStatesAll := rec.Counter(obs.MetricDPStates)
 	defer rec.Timer(obs.MetricGreedyEarlyWall).Start().Stop()
 	g := db.Graph()
 	pool := make([]*strategy.Node, db.Len())
@@ -143,8 +140,7 @@ func GreedyEarlyStop(ev *database.Evaluator) Result {
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
 				cStates.Inc()
-				cStatesAll.Inc() // before the charge, so a trip still reconciles
-				guard.Must(gd.ChargeStates(1))
+				guard.Must(ledger.ChargeStates(1))
 				states++
 				a, b := pool[i].Set(), pool[j].Set()
 				c := greedyCand{

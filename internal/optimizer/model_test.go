@@ -214,7 +214,7 @@ func TestGreedyModelGoverned(t *testing.T) {
 }
 
 func TestModelLedgerReconciles(t *testing.T) {
-	// plan.states mirrors guard.ChargeStates exactly, like dp.states.
+	// plan.states counts every state guard.PlanLedger charges, like dp.states.
 	db := paperex.Example5()
 	g := guard.New(context.Background(), guard.Limits{})
 	rec := obs.NewRecorder()

@@ -132,7 +132,7 @@ func Optimize(ev *database.Evaluator, space Space) (res Result, err error) {
 	// arithmetic bit for bit while costs stay below 2^53; only plans
 	// through products no join could materialize pass that and round.
 	size := func(s hypergraph.Set) float64 { return float64(ev.Size(s)) }
-	o := newDP(db, size, ev.Guard(), rec, space, dpCounters(rec, space))
+	o := newDP(db, size, guard.DPLedger(ev.Guard(), rec), rec, space, dpCounters(rec, space))
 	defer rec.Timer(obs.MetricDPSpaceWall(space.String())).Start().Stop()
 	all := db.All()
 	cost := o.solve(all)
@@ -149,34 +149,33 @@ func Optimize(ev *database.Evaluator, space Space) (res Result, err error) {
 
 const inf = math.MaxInt
 
-// dpCounters resolves the exact pipeline's per-subspace counters (the
-// dp.<space>.* family reconciling with guard.ChargeStates).
-func dpCounters(rec *obs.Recorder, space Space) [4]*obs.Counter {
-	return [4]*obs.Counter{
+// dpCounters resolves the exact pipeline's per-subspace counters, the
+// dp.<space>.* family.
+func dpCounters(rec *obs.Recorder, space Space) [3]*obs.Counter {
+	return [3]*obs.Counter{
 		rec.Counter(obs.MetricDPSpaceStates(space.String())),
-		rec.Counter(obs.MetricDPStates),
 		rec.Counter(obs.MetricDPSpacePruned(space.String())),
 		rec.Counter(obs.MetricDPSpaceCartesian(space.String())),
 	}
 }
 
 // newDP builds the subset dynamic program over an arbitrary size model.
-// counters carries the four resolved counters (per-space states, shared
-// states ledger, pruned, cartesian), so the exact and the
-// estimate-costed pipelines account under their own metric families.
-func newDP(db *database.Database, size SizeModel, gd *guard.Guard, rec *obs.Recorder,
-	space Space, counters [4]*obs.Counter) *dp {
+// ledger charges each state examined; counters carries the three
+// resolved per-space counters (states, pruned, cartesian), so the exact
+// and the estimate-costed pipelines account under their own metric
+// families.
+func newDP(db *database.Database, size SizeModel, ledger guard.Ledger, rec *obs.Recorder,
+	space Space, counters [3]*obs.Counter) *dp {
 	o := &dp{
-		g:     db.Graph(),
-		space: space,
-		size:  size,
-		gd:    gd,
-		memo:  make(map[hypergraph.Set]dpEntry),
+		g:      db.Graph(),
+		space:  space,
+		size:   size,
+		ledger: ledger,
+		memo:   make(map[hypergraph.Set]dpEntry),
 
 		cStates:      counters[0],
-		cStatesAll:   counters[1],
-		cPruned:      counters[2],
-		cCartesian:   counters[3],
+		cPruned:      counters[1],
+		cCartesian:   counters[2],
 		hasCartesian: rec != nil,
 	}
 	o.components = o.g.Components(o.g.All())
@@ -199,18 +198,16 @@ type dp struct {
 	g          *hypergraph.Graph
 	space      Space
 	size       SizeModel
-	gd         *guard.Guard
+	ledger     guard.Ledger // dp.states or plan.states
 	components []hypergraph.Set
 	compOf     []hypergraph.Set // relation index -> its component
 	memo       map[hypergraph.Set]dpEntry
 
-	// Observability: subsets expanded (per-space and the shared
-	// `dp.states` ledger reconciling with guard.ChargeStates), splits
-	// pruned because a side admits no subtree, and Cartesian-product
-	// steps considered. hasCartesian gates the per-split linkage probe
-	// so uninstrumented searches skip it entirely.
+	// Observability: subsets expanded per space, splits pruned because
+	// a side admits no subtree, and Cartesian-product steps considered.
+	// hasCartesian gates the per-split linkage probe so uninstrumented
+	// searches skip it entirely.
 	cStates      *obs.Counter
-	cStatesAll   *obs.Counter
 	cPruned      *obs.Counter
 	cCartesian   *obs.Counter
 	hasCartesian bool
@@ -232,12 +229,8 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 	if e, ok := o.memo[s]; ok {
 		return e.cost
 	}
-	// Mirror before charging, like the evaluator: a charge that trips
-	// the budget is counted by the guard, so the ledger must count it
-	// too for the two to reconcile on truncated runs.
 	o.cStates.Inc()
-	o.cStatesAll.Inc()
-	guard.Must(o.gd.ChargeStates(1))
+	guard.Must(o.ledger.ChargeStates(1))
 	best := math.Inf(1)
 	o.memo[s] = dpEntry{cost: best} // guard against re-entry; overwritten below
 	var bestSplit [2]hypergraph.Set
@@ -411,22 +404,21 @@ func (c greedyCand) better(o greedyCand) bool {
 func Greedy(ev *database.Evaluator) (res Result, err error) {
 	defer guard.Trap(&err)
 	rec := ev.Recorder()
-	cStates := rec.Counter(obs.MetricGreedyStates)
-	cStatesAll := rec.Counter(obs.MetricDPStates)
 	defer rec.Timer(obs.MetricGreedyWall).Start().Stop()
 	size := func(s hypergraph.Set) float64 { return float64(ev.Size(s)) }
-	root, _, states := greedyLoop(ev.Database(), size, ev.Guard(), cStates, cStatesAll)
+	root, _, states := greedyLoop(ev.Database(), size,
+		guard.DPLedger(ev.Guard(), rec), rec.Counter(obs.MetricGreedyStates))
 	return Result{Space: SpaceGreedy, Strategy: root, Cost: root.Cost(ev), States: states}, nil
 }
 
 // greedyLoop is the probe loop Greedy and GreedyModel share. Each round
-// sizes every pair of current results through size, charging one guard
-// state per probe, and combines the best pair under greedyCand's
-// tie-break. cStates and cStatesAll are the caller's per-method and
-// shared state ledgers. It returns the final tree, the sum of the sizes
-// it combined (the tree's cost under size) and the number of probes.
-func greedyLoop(db *database.Database, size SizeModel, gd *guard.Guard,
-	cStates, cStatesAll *obs.Counter) (*strategy.Node, float64, int) {
+// sizes every pair of current results through size, charging one state
+// per probe to ledger, and combines the best pair under greedyCand's
+// tie-break. cStates is the caller's per-method state counter. It
+// returns the final tree, the sum of the sizes it combined (the tree's
+// cost under size) and the number of probes.
+func greedyLoop(db *database.Database, size SizeModel, ledger guard.Ledger,
+	cStates *obs.Counter) (*strategy.Node, float64, int) {
 	g := db.Graph()
 	pool := make([]*strategy.Node, db.Len())
 	for i := range pool {
@@ -438,8 +430,7 @@ func greedyLoop(db *database.Database, size SizeModel, gd *guard.Guard,
 		for i := 0; i < len(pool); i++ {
 			for j := i + 1; j < len(pool); j++ {
 				cStates.Inc()
-				cStatesAll.Inc() // before the charge, so a trip still reconciles
-				guard.Must(gd.ChargeStates(1))
+				guard.Must(ledger.ChargeStates(1))
 				states++
 				a, b := pool[i].Set(), pool[j].Set()
 				c := greedyCand{
@@ -475,10 +466,9 @@ func greedyLoop(db *database.Database, size SizeModel, gd *guard.Guard,
 func Exhaustive(ev *database.Evaluator) (res Result, err error) {
 	defer guard.Trap(&err)
 	db := ev.Database()
-	gd := ev.Guard()
 	rec := ev.Recorder()
+	ledger := guard.DPLedger(ev.Guard(), rec)
 	cEnum := rec.Counter(obs.MetricExhaustiveStrategies)
-	cStatesAll := rec.Counter(obs.MetricDPStates)
 	defer rec.Timer(obs.MetricExhaustiveWall).Start().Stop()
 	best := inf
 	var bestNode *strategy.Node
@@ -486,8 +476,7 @@ func Exhaustive(ev *database.Evaluator) (res Result, err error) {
 	strategy.EnumerateAll(db.All(), func(n *strategy.Node) bool {
 		count++
 		cEnum.Inc()
-		cStatesAll.Inc() // before the charge, so a trip still reconciles
-		guard.Must(gd.ChargeStates(1))
+		guard.Must(ledger.ChargeStates(1))
 		if c := n.Cost(ev); c < best {
 			best, bestNode = c, n
 		}

@@ -7,12 +7,11 @@
 // and the E-c4 and E-yannakakis experiments exercise exactly that.
 //
 // Every tuple-producing operation in this package is governed: semijoins
-// and joins charge guard.ChargeEval with the result size, consistency
-// fixpoint passes charge guard.ChargeStates, and every charge is
-// mirrored into the plan.yannakakis.* obs counters so the guard ledger
-// and the metrics reconcile exactly even on budget-tripped runs. Each
-// operation has one entry point, which takes the guard and the recorder
-// explicitly; either may be nil.
+// and joins charge their result size and consistency fixpoint passes
+// charge one state, all through one guard.YannakakisLedger, so the guard
+// ledger and the plan.yannakakis.* counters reconcile exactly even on
+// budget-tripped runs. Each operation has one entry point, which takes
+// the guard and the recorder explicitly; either may be nil.
 package semijoin
 
 import (
@@ -112,25 +111,17 @@ func (e *Evaluation) MaxIntermediate() int {
 	return max
 }
 
-// ops bundles the guard with the mirrored obs counters every
-// semijoin-layer charge site updates: the guardmirror invariant
-// requires each ChargeEval to be flanked by tuple/state/step counter
-// adds in the same function so the ledger and metrics reconcile.
+// ops is the semijoin layer's charge point: the plan.yannakakis.*
+// ledger plus the per-operation counters beside it.
 type ops struct {
-	g          *guard.Guard
-	cTuples    *obs.Counter
-	cStates    *obs.Counter
-	cSteps     *obs.Counter
+	ledger     guard.Ledger
 	cSemijoins *obs.Counter
 	cJoins     *obs.Counter
 }
 
 func newOps(g *guard.Guard, rec *obs.Recorder) *ops {
 	return &ops{
-		g:          g,
-		cTuples:    rec.Counter(obs.MetricYannakakisTuples),
-		cStates:    rec.Counter(obs.MetricYannakakisStates),
-		cSteps:     rec.Counter(obs.MetricYannakakisSteps),
+		ledger:     guard.YannakakisLedger(g, rec),
 		cSemijoins: rec.Counter(obs.MetricYannakakisSemijoins),
 		cJoins:     rec.Counter(obs.MetricYannakakisJoins),
 	}
@@ -140,11 +131,8 @@ func newOps(g *guard.Guard, rec *obs.Recorder) *ops {
 // size against the guard exactly like an evaluator join step.
 func (o *ops) semijoin(a, b *relation.Relation) (*relation.Relation, error) {
 	out := relation.Semijoin(a, b)
-	o.cTuples.Add(int64(out.Size()))
-	o.cStates.Inc()
-	o.cSteps.Inc()
 	o.cSemijoins.Inc()
-	if err := o.g.ChargeEval(out.Size()); err != nil {
+	if err := o.ledger.ChargeEval(out.Size()); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -153,11 +141,8 @@ func (o *ops) semijoin(a, b *relation.Relation) (*relation.Relation, error) {
 // join performs one governed natural join, charging the result size.
 func (o *ops) join(a, b *relation.Relation) (*relation.Relation, error) {
 	out := relation.Join(a, b)
-	o.cTuples.Add(int64(out.Size()))
-	o.cStates.Inc()
-	o.cSteps.Inc()
 	o.cJoins.Inc()
-	if err := o.g.ChargeEval(out.Size()); err != nil {
+	if err := o.ledger.ChargeEval(out.Size()); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -442,8 +427,7 @@ func ReduceToConsistency(db *database.Database, g *guard.Guard, rec *obs.Recorde
 	changed := true
 	for changed {
 		cPasses.Inc()
-		o.cStates.Inc()
-		if err := g.ChargeStates(1); err != nil {
+		if err := o.ledger.ChargeStates(1); err != nil {
 			return nil, err
 		}
 		if err := g.Err(); err != nil {

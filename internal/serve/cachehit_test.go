@@ -69,6 +69,29 @@ func TestCacheHitEqualsMiss(t *testing.T) {
 				checkTraceInvariant(t, hit)
 			})
 		}
+		// An entry filled by an executed request stores the cost its
+		// planning produced, so an unexecuted hit reports what an
+		// unexecuted miss does, not the τ the filling request measured.
+		t.Run(tc.name+"/filled by an executed request", func(t *testing.T) {
+			_, doer, _ := newTestServer(t, Config{})
+			body := func(execute, noCache bool) []byte {
+				b, err := BuildRequestBodyMode(tc.db, "standard", execute, noCache, tc.mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			decode200(t, mustDo(t, doer, body(true, false)))
+			hit := decode200(t, mustDo(t, doer, body(false, false)))
+			miss := decode200(t, mustDo(t, doer, body(false, true)))
+			if !hit.CacheHit || miss.CacheHit {
+				t.Fatalf("cacheHit %v then %v, want true then false", hit.CacheHit, miss.CacheHit)
+			}
+			if hit.Plan.Expr != miss.Plan.Expr || hit.Plan.Cost != miss.Plan.Cost {
+				t.Errorf("hit %s cost %d, unexecuted miss %s cost %d",
+					hit.Plan.Expr, hit.Plan.Cost, miss.Plan.Expr, miss.Plan.Cost)
+			}
+		})
 	}
 }
 

@@ -98,6 +98,10 @@ type ladderOutcome struct {
 	strategy  *strategy.Node
 	cost      int64
 	estimated bool
+	// planCost is the cost planning produced, before executePlan
+	// replaced cost with the τ it measured. A cache entry stores it, so
+	// an unexecuted hit reports what its own planning would have.
+	planCost int64
 	// executed is set once the plan was materialized — by executePlan,
 	// or by the yannakakis rung whose planning pass IS the execution —
 	// and resultSize then holds |R_D|, estimate-mode plans included.
@@ -226,6 +230,7 @@ func attemptRung(req ladderRequest, rung Rung, cached bool, out *ladderOutcome) 
 		osp.SetAttr("cached", "true")
 	}
 	err := planRung(req, rung, cached, g, out)
+	out.planCost = out.cost
 	planned := g.Snapshot()
 	osp.AddDelta(planned.Tuples.Spent, planned.States.Spent, planned.Steps.Spent)
 	osp.Fail(err)

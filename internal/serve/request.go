@@ -165,8 +165,7 @@ type PlanInfo struct {
 	// Cost is τ of the plan on the request's database for dp, greedy
 	// and every executed plan; for yannakakis, τ of the join phase on
 	// the semijoin-reduced database (the semijoin tuples are in Guard).
-	// An unexecuted estimate plan reports the model's estimate, or the
-	// τ measured by the executed request that filled its cache entry.
+	// An unexecuted estimate plan reports the model's estimate.
 	Cost int64 `json:"cost"`
 	// Estimated marks plans chosen by the statistics model rather than
 	// exact τ, whatever their Cost was measured as afterwards.

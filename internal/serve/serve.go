@@ -457,7 +457,7 @@ func (s *Server) runRequest(ctx context.Context, rt *requestTrace, req *Request,
 		s.cache.put(key, cachedPlan{
 			strategy:    out.strategy,
 			rung:        out.rung,
-			cost:        out.cost,
+			cost:        out.planCost,
 			estimated:   out.estimated,
 			fingerprint: fp,
 		})
